@@ -10,10 +10,12 @@ from .characters import (
     is_multiplicative,
 )
 from .equations import (
+    KINDS,
     Instance,
     Residual,
     is_abelian_function,
     kannappan_condition_residual,
+    linear_part,
     residual_dalembert,
     residual_kannappan,
     residual_mu_spherical,
@@ -23,6 +25,7 @@ from .errors import (
     EntryOutOfRange,
     EquivalenceViolation,
     FeqlabError,
+    InvalidEnvironment,
     InvalidMeasure,
     InvariantViolation,
     NotAntiHomomorphism,
@@ -52,10 +55,8 @@ from .families import (
 from .measures import (
     CentralMeasure,
     central_measure,
-    double_integral,
     is_tau_invariant,
     pushforward_tau,
-    right_integral,
     total_mass_integral,
 )
 from .oracle import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 
 import numpy as np
 
@@ -56,6 +57,10 @@ class SpecFormatError(InvariantViolation):
     invariant = "spec format"
 
 
+class OptionError(InvariantViolation):
+    invariant = "option value"
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -71,6 +76,15 @@ def _f2j(f) -> list[dict]:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SpecFormatError(message)
+
+
+def _is_int(v) -> bool:
+    """JSON integer; true and false parse as Python bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
@@ -92,18 +106,18 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
     for key in ("order", "cayley", "involution", "measure"):
         _require(key in data, f"missing required key {key!r}")
     n = data["order"]
-    _require(isinstance(n, int) and n > 0, "order must be a positive integer")
+    _require(_is_int(n) and n > 0, "order must be a positive integer")
     cayley = data["cayley"]
     _require(
         isinstance(cayley, list) and len(cayley) == n * n,
         f"cayley must be a flat list of {n * n} indices",
     )
     _require(
-        all(isinstance(v, int) for v in cayley), "cayley entries must be integers"
+        all(_is_int(v) for v in cayley), "cayley entries must be integers"
     )
     inv = data["involution"]
     _require(
-        isinstance(inv, list) and len(inv) == n and all(isinstance(v, int) for v in inv),
+        isinstance(inv, list) and len(inv) == n and all(_is_int(v) for v in inv),
         f"involution must be a list of {n} integers",
     )
     atoms_raw = data["measure"]
@@ -116,9 +130,9 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
             isinstance(a, dict) and {"point", "re", "im"} <= set(a),
             "each atom needs keys point, re, im",
         )
-        _require(isinstance(a["point"], int), "atom point must be an integer")
+        _require(_is_int(a["point"]), "atom point must be an integer")
         _require(
-            isinstance(a["re"], (int, float)) and isinstance(a["im"], (int, float)),
+            _is_number(a["re"]) and _is_number(a["im"]),
             "atom weights re, im must be numbers",
         )
         atoms.append((a["point"], complex(float(a["re"]), float(a["im"]))))
@@ -240,6 +254,16 @@ def cmd_solve(args) -> int:
     return exit_code
 
 
+def _failure(identity: str, max_abs: float, provenance: str, index: int, argmax=()) -> dict:
+    return {
+        "argmax": list(argmax),
+        "identity": identity,
+        "max_abs": max_abs,
+        "provenance": provenance,
+        "solution_index": index,
+    }
+
+
 def _suite_entries(report, inst, suite_fn, residual_fn, failures):
     entries = []
     for i, sol in enumerate(report.solutions):
@@ -255,24 +279,24 @@ def _suite_entries(report, inst, suite_fn, residual_fn, failures):
         entries.append(entry)
         if eq_res.max_abs > RESIDUAL_TOL:
             failures.append(
-                {
-                    "argmax": list(eq_res.argmax),
-                    "identity": f"{report.equation}_equation",
-                    "max_abs": eq_res.max_abs,
-                    "provenance": sol.provenance,
-                    "solution_index": i,
-                }
+                _failure(
+                    f"{report.equation}_equation",
+                    eq_res.max_abs,
+                    sol.provenance,
+                    i,
+                    eq_res.argmax,
+                )
             )
             continue
         for name in suite.failures():
             failures.append(
-                {
-                    "argmax": list(suite.argmax.get(name, ())),
-                    "identity": name,
-                    "max_abs": suite.residuals.get(name, 0.0),
-                    "provenance": sol.provenance,
-                    "solution_index": i,
-                }
+                _failure(
+                    name,
+                    suite.residuals.get(name, 0.0),
+                    sol.provenance,
+                    i,
+                    suite.argmax.get(name, ()),
+                )
             )
     return entries
 
@@ -311,15 +335,7 @@ def cmd_verify(args) -> int:
             g = kannappan_to_dalembert(sol.values, inst)
         except ZeroDenominator:
             # a nonzero cosine-type solution must have nonzero mass
-            failures.append(
-                {
-                    "argmax": [],
-                    "identity": "nonzero_mass",
-                    "max_abs": 0.0,
-                    "provenance": sol.provenance,
-                    "solution_index": i,
-                }
-            )
+            failures.append(_failure("nonzero_mass", 0.0, sol.provenance, i))
             continue
         g_res = residual_dalembert(g, inst.sg, inst.tau)
         ok_member = False
@@ -331,13 +347,13 @@ def cmd_verify(args) -> int:
         roundtrip_back = max(roundtrip_back, back)
         if g_res.max_abs > RESIDUAL_TOL or not ok_member or back > RESIDUAL_TOL:
             failures.append(
-                {
-                    "argmax": list(g_res.argmax),
-                    "identity": "bijection_inverse",
-                    "max_abs": max(g_res.max_abs, back),
-                    "provenance": sol.provenance,
-                    "solution_index": i,
-                }
+                _failure(
+                    "bijection_inverse",
+                    max(g_res.max_abs, back),
+                    sol.provenance,
+                    i,
+                    g_res.argmax,
+                )
             )
 
     # integral-condition equivalence and forward round-trips on the
@@ -360,13 +376,12 @@ def cmd_verify(args) -> int:
         )
         if not conds.consistent:
             failures.append(
-                {
-                    "argmax": [],
-                    "identity": "integral_conditions_equivalence",
-                    "max_abs": max(conds.deviations),
-                    "provenance": "dalembert",
-                    "solution_index": i,
-                }
+                _failure(
+                    "integral_conditions_equivalence",
+                    max(conds.deviations),
+                    "dalembert",
+                    i,
+                )
             )
             continue
         if abs(conds.mass) > args.tol and conds.all_hold:
@@ -376,26 +391,18 @@ def cmd_verify(args) -> int:
                 back = max_abs_diff(kannappan_to_dalembert(f, inst), g)
             except ZeroDenominator:
                 # the forward image lost its mass: not a valid member
-                failures.append(
-                    {
-                        "argmax": [],
-                        "identity": "nonzero_mass",
-                        "max_abs": 0.0,
-                        "provenance": "dalembert",
-                        "solution_index": i,
-                    }
-                )
+                failures.append(_failure("nonzero_mass", 0.0, "dalembert", i))
                 continue
             roundtrip_fwd = max(roundtrip_fwd, back)
             if f_res.max_abs > RESIDUAL_TOL or back > RESIDUAL_TOL:
                 failures.append(
-                    {
-                        "argmax": list(f_res.argmax),
-                        "identity": "bijection_forward",
-                        "max_abs": max(f_res.max_abs, back),
-                        "provenance": "dalembert",
-                        "solution_index": i,
-                    }
+                    _failure(
+                        "bijection_forward",
+                        max(f_res.max_abs, back),
+                        "dalembert",
+                        i,
+                        f_res.argmax,
+                    )
                 )
 
     out = {
@@ -452,6 +459,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise OptionError(f"--tol must be finite and greater than 0, got {tol}")
         return args.func(args)
     except InvariantViolation as exc:
         _emit({"error": {"invariant": exc.invariant, "message": str(exc)}})

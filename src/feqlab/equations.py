@@ -15,6 +15,7 @@ from .measures import CentralMeasure, right_integral_table
 from .semigroups import FiniteSemigroup, Involution, center, validate_involution
 
 ABELIAN_TOL = 1e-12
+KINDS = ("van_vleck", "kannappan", "dalembert")
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,30 +49,43 @@ def _worst(dev: np.ndarray) -> Residual:
     return Residual(float(mags[idx]), tuple(int(i) for i in idx))
 
 
+def linear_part(
+    kind: str, F, sg: FiniteSemigroup, tau: Involution, mu: CentralMeasure | None = None
+) -> np.ndarray:
+    """Linear side of one equation at every (x, y), batched over the leading
+    axes of F: shape F.shape[:-1] + (n, n).
+
+    With r the right-integral table of F (r = F for d'Alembert, which ignores
+    mu), Van Vleck is r(x tau(y)) - r(xy), and Kannappan and d'Alembert are
+    r(xy) + r(x tau(y)).  The full equation is this minus 2 f(x) f(y).
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown equation kind {kind!r}")
+    Fa = np.asarray(F)
+    t = sg.cayley
+    r = Fa if kind == "dalembert" else right_integral_table(sg, Fa, mu)
+    plain, shifted = r[..., t], r[..., t[:, tau.perm]]
+    return shifted - plain if kind == "van_vleck" else plain + shifted
+
+
+def _residual(kind, f, sg, tau, mu=None) -> Residual:
+    fa = np.asarray(f)
+    return _worst(linear_part(kind, fa, sg, tau, mu) - 2 * np.outer(fa, fa))
+
+
 def residual_van_vleck(f, inst: Instance) -> Residual:
     """Sine-type equation: int f(x tau(y) t) - int f(x y t) = 2 f(x) f(y)."""
-    fa = np.asarray(f)
-    t = inst.sg.cayley
-    r = right_integral_table(inst.sg, fa, inst.mu)
-    dev = r[t[:, inst.tau.perm]] - r[t] - 2 * np.outer(fa, fa)
-    return _worst(dev)
+    return _residual("van_vleck", f, inst.sg, inst.tau, inst.mu)
 
 
 def residual_kannappan(f, inst: Instance) -> Residual:
     """Cosine-type equation: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)."""
-    fa = np.asarray(f)
-    t = inst.sg.cayley
-    r = right_integral_table(inst.sg, fa, inst.mu)
-    dev = r[t] + r[t[:, inst.tau.perm]] - 2 * np.outer(fa, fa)
-    return _worst(dev)
+    return _residual("kannappan", f, inst.sg, inst.tau, inst.mu)
 
 
 def residual_dalembert(g, sg: FiniteSemigroup, tau: Involution) -> Residual:
     """Classic d'Alembert equation: g(xy) + g(x tau(y)) = 2 g(x) g(y)."""
-    ga = np.asarray(g)
-    t = sg.cayley
-    dev = ga[t] + ga[t[:, tau.perm]] - 2 * np.outer(ga, ga)
-    return _worst(dev)
+    return _residual("dalembert", g, sg, tau)
 
 
 def residual_mu_spherical(psi, inst: Instance) -> Residual:

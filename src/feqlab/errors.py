@@ -47,6 +47,10 @@ class NotDirac(InvariantViolation):
     invariant = "not a unit point mass"
 
 
+class InvalidEnvironment(InvariantViolation):
+    invariant = "invalid environment variable"
+
+
 class ZeroDenominator(FeqlabError):
     """A normalization integral vanished where theory guarantees it cannot."""
 

@@ -33,11 +33,7 @@ from .equations import (
     residual_van_vleck,
 )
 from .errors import EquivalenceViolation, NotDirac, ZeroDenominator
-from .measures import (
-    double_integral,
-    right_integral_table,
-    total_mass_integral,
-)
+from .measures import right_integral_table, total_mass_integral
 from .semigroups import FiniteSemigroup, Involution
 
 ADMISSIBLE_TOL = 1e-9   # admissibility and membership predicates
@@ -190,6 +186,27 @@ def dalembert_abelian_family(
 
 
 # ---------------------------------------------------------------------------
+# double integrals as gathers over the right-integral table
+# r(u) = int f(u s) dmu(s):
+#   int int f(x lead(t) s) dmu(t) dmu(s) = sum_i w_i r(x lead(z_i)),
+# with lead the identity or tau; the double masses drop the x.
+
+def _leads(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """The atom points z_i and their images tau(z_i)."""
+    return inst.mu.points, inst.tau.perm[inst.mu.points]
+
+
+def _shifted_sums(r: np.ndarray, inst: Instance, lead: np.ndarray) -> np.ndarray:
+    """sum_i w_i r(x * lead_i) over all x."""
+    return r[inst.sg.cayley[:, lead]] @ inst.mu.weights
+
+
+def _double_mass(r: np.ndarray, inst: Instance, lead: np.ndarray) -> complex:
+    """sum_i w_i r(lead_i)."""
+    return complex(r[lead] @ inst.mu.weights)
+
+
+# ---------------------------------------------------------------------------
 # the mass-scaling bijection between admissible d'Alembert solutions and
 # nonzero Kannappan solutions
 
@@ -241,11 +258,11 @@ def dalembert_integral_conditions(
     g, inst: Instance, tol: float = ADMISSIBLE_TOL
 ) -> DalembertConditions:
     ga = np.asarray(g)
+    plain, tilted = _leads(inst)
     r = right_integral_table(inst.sg, ga, inst.mu)
-    tau_pts = np.array([inst.tau(int(z)) for z in inst.mu.points])
-    r_tau = ga[inst.sg.cayley[:, tau_pts]] @ inst.mu.weights
+    r_tau = _shifted_sums(ga, inst, tilted)
     mass = total_mass_integral(ga, inst.mu)
-    dd = double_integral(inst.sg, ga, inst.mu, "plain")
+    dd = _double_mass(r, inst, plain)
     d_shift = float(np.max(np.abs(r - r_tau)))
     d_prop = float(np.max(np.abs(r - ga * mass)))
     d_mass = abs(dd - mass * mass)
@@ -276,7 +293,7 @@ def dalembert_admissible(g, inst: Instance, tol: float = ADMISSIBLE_TOL) -> bool
 # ---------------------------------------------------------------------------
 # identity suites
 
-def _worst_over_x(values: list[float]) -> tuple[float, tuple[int, ...]]:
+def _worst_over_x(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     x = int(np.argmax(values))
     return float(values[x]), (x,)
 
@@ -321,27 +338,18 @@ def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:
     plus int f dmu != 0.
     """
     fa = np.asarray(f)
-    sg, tau, mu = inst.sg, inst.tau, inst.mu
+    tau, mu = inst.tau, inst.mu
     mass = total_mass_integral(fa, mu)
-    r = right_integral_table(sg, fa, mu)
-    sand_tau = _worst_over_x(
-        [
-            abs(double_integral(sg, fa, mu, "left_tau", x=x, tau=tau) - fa[x] * mass)
-            for x in range(sg.order)
-        ]
-    )
-    sand_plain = _worst_over_x(
-        [
-            abs(double_integral(sg, fa, mu, "plain", x=x) + fa[x] * mass)
-            for x in range(sg.order)
-        ]
-    )
-    odd = _worst_over_x(list(np.abs(fa + fa[tau.perm])))
-    shift = _worst_over_x(list(np.abs(r[tau.perm] - r)))
+    plain, tilted = _leads(inst)
+    r = right_integral_table(inst.sg, fa, mu)
+    sand_tau = _worst_over_x(np.abs(_shifted_sums(r, inst, tilted) - fa * mass))
+    sand_plain = _worst_over_x(np.abs(_shifted_sums(r, inst, plain) + fa * mass))
+    odd = _worst_over_x(np.abs(fa + fa[tau.perm]))
+    shift = _worst_over_x(np.abs(r[tau.perm] - r))
     residuals = {
         "odd_part": odd[0],
-        "double_mass_plain": abs(double_integral(sg, fa, mu, "plain")),
-        "double_mass_tau": abs(double_integral(sg, fa, mu, "left_tau", tau=tau)),
+        "double_mass_plain": abs(_double_mass(r, inst, plain)),
+        "double_mass_tau": abs(_double_mass(r, inst, tilted)),
         "sandwich_tau": sand_tau[0],
         "sandwich_plain": sand_plain[0],
         "shift_symmetry": shift[0],
@@ -366,21 +374,13 @@ def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
     plus int f dmu != 0 exactly when f != 0.
     """
     fa = np.asarray(f)
-    sg, tau, mu = inst.sg, inst.tau, inst.mu
+    tau, mu = inst.tau, inst.mu
     mass = total_mass_integral(fa, mu)
-    sand_tau = _worst_over_x(
-        [
-            abs(double_integral(sg, fa, mu, "left_tau", x=x, tau=tau) - fa[x] * mass)
-            for x in range(sg.order)
-        ]
-    )
-    sand_plain = _worst_over_x(
-        [
-            abs(double_integral(sg, fa, mu, "plain", x=x) - fa[x] * mass)
-            for x in range(sg.order)
-        ]
-    )
-    even = _worst_over_x(list(np.abs(fa - fa[tau.perm])))
+    plain, tilted = _leads(inst)
+    r = right_integral_table(inst.sg, fa, mu)
+    sand_tau = _worst_over_x(np.abs(_shifted_sums(r, inst, tilted) - fa * mass))
+    sand_plain = _worst_over_x(np.abs(_shifted_sums(r, inst, plain) - fa * mass))
+    even = _worst_over_x(np.abs(fa - fa[tau.perm]))
     residuals = {
         "even_part": even[0],
         "sandwich_tau": sand_tau[0],
@@ -421,6 +421,8 @@ def associated_dalembert(
         dalembert_residual=residual_dalembert(g, inst.sg, inst.tau).max_abs,
         abelian=is_abelian_function(g, inst.sg),
         mean=total_mass_integral(g, inst.mu),
-        double_mass=double_integral(inst.sg, g, inst.mu, "plain"),
+        double_mass=_double_mass(
+            right_integral_table(inst.sg, g, inst.mu), inst, inst.mu.points
+        ),
     )
     return g, report

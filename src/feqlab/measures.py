@@ -62,17 +62,12 @@ def central_measure(sg: FiniteSemigroup, atoms) -> CentralMeasure:
     return CentralMeasure(points=points, weights=weights)
 
 
-def right_integral(sg: FiniteSemigroup, f, mu: CentralMeasure, x: int) -> complex:
-    """Integral of t -> f(x*t), i.e. sum_i w_i f(x * z_i)."""
-    row = sg.cayley[x]
-    return sum(
-        (complex(w) * complex(f[row[z]]) for z, w in zip(mu.points, mu.weights)), 0j
-    )
-
-
 def right_integral_table(sg: FiniteSemigroup, f, mu: CentralMeasure) -> np.ndarray:
-    """Vector of right_integral values over all x (vectorized hot path)."""
-    return np.asarray(f)[sg.cayley[:, mu.points]] @ mu.weights
+    """Integrals of t -> f(x*t), i.e. sum_i w_i f(x * z_i), over all x.
+
+    Batched over the leading axes of f.
+    """
+    return np.asarray(f)[..., sg.cayley[:, mu.points]] @ mu.weights
 
 
 def total_mass_integral(f, mu: CentralMeasure) -> complex:
@@ -80,33 +75,6 @@ def total_mass_integral(f, mu: CentralMeasure) -> complex:
     return sum(
         (complex(w) * complex(f[z]) for z, w in zip(mu.points, mu.weights)), 0j
     )
-
-
-def double_integral(
-    sg: FiniteSemigroup,
-    f,
-    mu: CentralMeasure,
-    mode: str = "plain",
-    x: int | None = None,
-    tau: Involution | None = None,
-) -> complex:
-    """Double integral over (t, s) of f at a composite argument.
-
-    mode "plain" integrates f(x*t*s) (f(t*s) when x is None); mode "left_tau"
-    integrates f(x*tau(t)*s) and needs tau.  The inner sum reuses
-    right_integral verbatim, so the finite-sum Fubini identity holds exactly,
-    not merely within rounding.
-    """
-    if mode not in ("plain", "left_tau"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "left_tau" and tau is None:
-        raise ValueError("mode 'left_tau' needs the involution")
-    total = 0j
-    for z, w in zip(mu.points, mu.weights):
-        lead = int(z) if mode == "plain" else tau(int(z))
-        base = lead if x is None else sg.mul(x, lead)
-        total += complex(w) * right_integral(sg, f, mu, base)
-    return total
 
 
 def pushforward_tau(

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import canonical_key, max_abs, max_abs_diff
-from .equations import Instance
+from .equations import Instance, linear_part
+from .errors import InvalidEnvironment
 from .families import Solution, SolutionReport
-
-KINDS = ("van_vleck", "kannappan", "dalembert")
 
 
 class NoConvergenceBudget(RuntimeWarning):
@@ -54,38 +53,25 @@ def thread_count() -> int:
     raw = os.environ.get("FEQLAB_THREADS", "").strip()
     if not raw or raw == "0":
         return os.cpu_count() or 1
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise ValueError("FEQLAB_THREADS must be >= 0")
+        raise InvalidEnvironment(
+            f"FEQLAB_THREADS must be a non-negative integer, got {raw!r}"
+        )
     return value
 
 
 def equation_matrix(kind: str, inst: Instance) -> np.ndarray:
     """Linear part A of the residual system: row x*n+y, one column per
-    element, so that the full residual is A f - 2 f(x) f(y)."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown equation kind {kind!r}")
-    sg, tau, mu = inst.sg, inst.tau, inst.mu
-    n = sg.order
-    t = sg.cayley
-    rows = np.arange(n * n)
-    xy = t.ravel()
-    xty = t[:, tau.perm].ravel()
-    A = np.zeros((n * n, n), dtype=np.complex128)
-    if kind == "dalembert":
-        np.add.at(A, (rows, xy), 1.0)
-        np.add.at(A, (rows, xty), 1.0)
-        return A
-    for z, w in zip(mu.points, mu.weights):
-        plain = t[xy, z]
-        shifted = t[xty, z]
-        if kind == "van_vleck":
-            np.add.at(A, (rows, shifted), w)
-            np.add.at(A, (rows, plain), -w)
-        else:
-            np.add.at(A, (rows, plain), w)
-            np.add.at(A, (rows, shifted), w)
-    return A
+    element, so that the full residual is A f - 2 f(x) f(y).  Column j is
+    the equation's linear side evaluated at the j-th unit vector."""
+    n = inst.sg.order
+    columns = linear_part(kind, np.eye(n, dtype=np.complex128), inst.sg, inst.tau, inst.mu)
+    # C order: the BLAS calls on A and A.T, and so the oracle's bits, depend on layout
+    return np.ascontiguousarray(columns.reshape(n, n * n).T)
 
 
 def _residual(A: np.ndarray, F: np.ndarray, rx: np.ndarray, ry: np.ndarray) -> np.ndarray:

@@ -287,3 +287,43 @@ class TestDeterminism:
         path = write_spec(tmp_path)
         _, out = run(capsys, "validate", path)
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class TestHardening:
+    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    def test_bad_thread_env_exits_2(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("FEQLAB_THREADS", raw)
+        code, out = run(capsys, "solve", "vanvleck", write_spec(tmp_path), "--oracle")
+        assert code == 2
+        assert json.loads(out)["error"]["invariant"] == "invalid environment variable"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {
+                "order": True,
+                "cayley": [0],
+                "involution": [0],
+                "measure": [{"point": 0, "re": 1.0, "im": 0.0}],
+            },
+            {"cayley": [True if k == 1 else (k // 4 + k % 4) % 4 for k in range(16)]},
+            {"involution": [0, 3, 2, True]},
+            {"measure": [{"point": True, "re": 1.0, "im": 0.0}]},
+            {"measure": [{"point": 1, "re": True, "im": 0.0}]},
+            {"measure": [{"point": 1, "re": 1.0, "im": False}]},
+        ],
+        ids=["order", "cayley", "involution", "point", "re", "im"],
+    )
+    def test_json_booleans_rejected(self, tmp_path, capsys, overrides):
+        code, out = run(capsys, "validate", write_spec(tmp_path, **overrides))
+        assert code == 2
+        assert json.loads(out)["error"]["invariant"] == "spec format"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize(
+        "command", [("chars",), ("solve", "vanvleck"), ("verify-theorems",)]
+    )
+    def test_bad_tol_exits_2(self, tmp_path, capsys, command, tol):
+        code, out = run(capsys, *command, write_spec(tmp_path), "--tol", tol)
+        assert code == 2
+        assert json.loads(out)["error"]["invariant"] == "option value"

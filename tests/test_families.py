@@ -8,6 +8,8 @@ import feqlab as fl
 from feqlab.characters import canonical_key, max_abs_diff
 from feqlab.families import dalembert_integral_conditions
 
+from scalar_reference import double_integral, right_integral
+
 Z4 = fl.cyclic_group(4)
 Z6 = fl.cyclic_group(6)
 NEG4 = fl.inverse_involution(Z4)
@@ -290,14 +292,14 @@ class TestVanVleckSuite:
     def test_plain_sandwich_value_at_zero(self):
         # int int f(0 + t + s) = f(2) = 0 = -f(0) * mass
         inst = make_inst(Z4, NEG4, [(1, 1.0)])
-        got = fl.double_integral(Z4, SINE, inst.mu, "plain", x=0)
+        got = double_integral(Z4, SINE, inst.mu, "plain", x=0)
         assert got == -SINE[0] * 1
 
     def test_shift_symmetry_value_at_one(self):
         # int f(tau(1) + t) = f(0) = 0 = int f(1 + t) = f(2)
         inst = make_inst(Z4, NEG4, [(1, 1.0)])
-        assert fl.right_integral(Z4, SINE, inst.mu, NEG4(1)) == SINE[0]
-        assert fl.right_integral(Z4, SINE, inst.mu, 1) == SINE[2]
+        assert right_integral(Z4, SINE, inst.mu, NEG4(1)) == SINE[0]
+        assert right_integral(Z4, SINE, inst.mu, 1) == SINE[2]
 
     def test_non_solution_fails(self):
         inst = make_inst(Z4, NEG4, [(1, 1.0)])
@@ -323,7 +325,7 @@ class TestKannappanSuite:
         # plain sandwich: sum over 4 atom pairs of f = 8 = f(x) * mass = 2*4
         inst = make_inst(Z4, NEG4, [(1, 1.0), (3, 1.0)])
         f = np.full(4, 2.0, dtype=complex)
-        assert fl.double_integral(Z4, f, inst.mu, "plain", x=0) == 8
+        assert double_integral(Z4, f, inst.mu, "plain", x=0) == 8
         assert fl.total_mass_integral(f, inst.mu) == 4
         assert fl.kannappan_identity_suite(f, inst).passed()
 
@@ -360,3 +362,64 @@ class TestForwardSoundness:
                 assert sol.residual < 1e-10
             for sol in fl.kannappan_abelian_family(case.inst, case.chars).solutions:
                 assert sol.residual < 1e-10
+
+
+# bound fixed before the suites moved from the scalar loop to table gathers
+GATHER_TOL = 1e-13
+
+
+def scalar_sandwich_residuals(f, inst, plain_sign):
+    """The suites' double-integral residuals from the scalar reference:
+    sandwich_plain compares against plain_sign * f(x) int f dmu."""
+    sg, tau, mu = inst.sg, inst.tau, inst.mu
+    mass = fl.total_mass_integral(f, mu)
+    xs = range(sg.order)
+    return {
+        "sandwich_tau": max(
+            abs(double_integral(sg, f, mu, "left_tau", x=x, tau=tau) - f[x] * mass)
+            for x in xs
+        ),
+        "sandwich_plain": max(
+            abs(double_integral(sg, f, mu, "plain", x=x) - plain_sign * f[x] * mass)
+            for x in xs
+        ),
+    }
+
+
+class TestGathersMatchScalarReference:
+    def test_van_vleck_suite(self, grid):
+        for case in grid:
+            inst = case.inst
+            for f in fl.van_vleck_family(inst, case.chars).values():
+                got = fl.van_vleck_identity_suite(f, inst).residuals
+                want = scalar_sandwich_residuals(f, inst, -1)
+                want["double_mass_plain"] = abs(double_integral(inst.sg, f, inst.mu))
+                want["double_mass_tau"] = abs(
+                    double_integral(inst.sg, f, inst.mu, "left_tau", tau=inst.tau)
+                )
+                for name, value in want.items():
+                    assert abs(got[name] - value) <= GATHER_TOL, (case.name, name)
+
+    def test_kannappan_suite(self, grid):
+        for case in grid:
+            inst = case.inst
+            for f in fl.kannappan_abelian_family(inst, case.chars).values():
+                got = fl.kannappan_identity_suite(f, inst).residuals
+                for name, value in scalar_sandwich_residuals(f, inst, 1).items():
+                    assert abs(got[name] - value) <= GATHER_TOL, (case.name, name)
+
+    def test_dalembert_double_mass(self, grid):
+        for case in grid:
+            inst = case.inst
+            for g in fl.dalembert_abelian_family(inst.sg, inst.tau, case.chars):
+                conds = dalembert_integral_conditions(g, inst)
+                want = abs(double_integral(inst.sg, g, inst.mu) - conds.mass**2)
+                assert abs(conds.deviations[2] - want) <= GATHER_TOL, case.name
+
+    def test_associated_dalembert_double_mass(self, grid):
+        for case in grid:
+            inst = case.inst
+            for f in fl.van_vleck_family(inst, case.chars).values():
+                g, report = fl.associated_dalembert(f, inst)
+                want = double_integral(inst.sg, g, inst.mu)
+                assert abs(report.double_mass - want) <= GATHER_TOL, case.name

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import feqlab as fl
 
 from conftest import build_grid
+from scalar_reference import double_integral, right_integral
 
 Z4 = fl.cyclic_group(4)
 NEG = fl.inverse_involution(Z4)
@@ -60,18 +61,18 @@ class TestRightIntegral:
         mu = z4_measure((2, 1.0))
         f = np.array([10, 20, 30, 40], dtype=complex)
         for x in range(4):
-            assert fl.right_integral(Z4, f, mu, x) == f[(x + 2) % 4]
+            assert right_integral(Z4, f, mu, x) == f[(x + 2) % 4]
 
     def test_two_atom_example(self):
         # direct summation: f(0+1) + f(0+3) = 1 + (-1) = 0
         mu = z4_measure((1, 1.0), (3, 1.0))
         f = np.array([0, 1, 0, -1], dtype=complex)
-        assert fl.right_integral(Z4, f, mu, 0) == 0
+        assert right_integral(Z4, f, mu, 0) == 0
 
     def test_zero_function(self):
         mu = z4_measure((1, 1.0), (3, 2.0))
         f = np.zeros(4, dtype=complex)
-        assert all(fl.right_integral(Z4, f, mu, x) == 0 for x in range(4))
+        assert all(right_integral(Z4, f, mu, x) == 0 for x in range(4))
 
     def test_table_agrees_with_scalar(self):
         mu = z4_measure((1, 1 + 1j), (2, -0.5))
@@ -79,7 +80,7 @@ class TestRightIntegral:
         f = rng.normal(size=4) + 1j * rng.normal(size=4)
         table = fl.measures.right_integral_table(Z4, f, mu)
         for x in range(4):
-            assert abs(table[x] - fl.right_integral(Z4, f, mu, x)) < 1e-14
+            assert abs(table[x] - right_integral(Z4, f, mu, x)) < 1e-14
 
 
 class TestTotalMass:
@@ -129,18 +130,18 @@ class TestDoubleIntegral:
     def test_single_atom_no_base_point(self):
         mu = z4_measure((2, 1.0))
         f = np.array([5, 6, 7, 8], dtype=complex)
-        assert fl.double_integral(Z4, f, mu, "plain") == f[0]  # f(2+2)
+        assert double_integral(Z4, f, mu, "plain") == f[0]  # f(2+2)
 
     def test_plain_with_base_point(self):
         mu = z4_measure((1, 1.0))
         f = np.array([0, 1, 0, -1], dtype=complex)
-        assert fl.double_integral(Z4, f, mu, "plain", x=0) == f[2]
+        assert double_integral(Z4, f, mu, "plain", x=0) == f[2]
 
     def test_zero_function(self):
         mu = z4_measure((1, 1 + 2j), (2, 3.0))
         f = np.zeros(4, dtype=complex)
-        assert fl.double_integral(Z4, f, mu, "plain") == 0
-        assert fl.double_integral(Z4, f, mu, "left_tau", tau=NEG) == 0
+        assert double_integral(Z4, f, mu, "plain") == 0
+        assert double_integral(Z4, f, mu, "left_tau", tau=NEG) == 0
 
     def test_left_tau_matches_manual_sum(self):
         mu = z4_measure((1, 1 + 1j), (2, -2.0))
@@ -152,7 +153,7 @@ class TestDoubleIntegral:
             for zi, wi in mu.atoms()
             for zj, wj in mu.atoms()
         )
-        got = fl.double_integral(Z4, f, mu, "left_tau", x=x, tau=NEG)
+        got = double_integral(Z4, f, mu, "left_tau", x=x, tau=NEG)
         assert abs(got - manual) < 1e-13
 
     def test_fubini_is_exact(self):
@@ -163,17 +164,17 @@ class TestDoubleIntegral:
             rng = np.random.default_rng(11)
             f = rng.normal(size=sg.order) + 1j * rng.normal(size=sg.order)
             g = np.array(
-                [fl.right_integral(sg, f, mu, y) for y in range(sg.order)]
+                [right_integral(sg, f, mu, y) for y in range(sg.order)]
             )
             for x in range(sg.order):
-                lhs = fl.double_integral(sg, f, mu, "plain", x=x)
-                rhs = fl.right_integral(sg, g, mu, x)
+                lhs = double_integral(sg, f, mu, "plain", x=x)
+                rhs = right_integral(sg, g, mu, x)
                 assert lhs == rhs
 
     def test_unknown_mode_rejected(self):
         mu = z4_measure((1, 1.0))
         with pytest.raises(ValueError):
-            fl.double_integral(Z4, np.zeros(4, complex), mu, "inner_tau")
+            double_integral(Z4, np.zeros(4, complex), mu, "inner_tau")
 
 
 finite_complex = st.complex_numbers(
@@ -191,8 +192,8 @@ class TestLinearity:
         mu = z4_measure((1, 1 + 1j), (3, -2.0))
         combo = s1 * fa + s2 * fb
         for x in range(4):
-            lhs = fl.right_integral(Z4, combo, mu, x)
-            rhs = s1 * fl.right_integral(Z4, fa, mu, x) + s2 * fl.right_integral(
+            lhs = right_integral(Z4, combo, mu, x)
+            rhs = s1 * right_integral(Z4, fa, mu, x) + s2 * right_integral(
                 Z4, fb, mu, x
             )
             assert abs(lhs - rhs) < 1e-12

@@ -7,6 +7,8 @@ import pytest
 import feqlab as fl
 from feqlab.characters import max_abs_diff
 
+from scalar_reference import equation_matrix_add_at
+
 Z4 = fl.cyclic_group(4)
 NEG = fl.inverse_involution(Z4)
 
@@ -153,6 +155,12 @@ class TestDeterminism:
         monkeypatch.delenv("FEQLAB_THREADS")
         assert fl.oracle.thread_count() >= 1
 
+    @pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
+    def test_thread_count_rejects_bad_env(self, monkeypatch, raw):
+        monkeypatch.setenv("FEQLAB_THREADS", raw)
+        with pytest.raises(fl.InvariantViolation):
+            fl.oracle.thread_count()
+
 
 class TestStability:
     @pytest.mark.parametrize(
@@ -182,6 +190,14 @@ class TestStability:
         assert fl.match_solution_sets(
             fl.kannappan_abelian_family(inst), base, eps=1e-6
         ).is_match
+
+
+class TestEquationMatrix:
+    @pytest.mark.parametrize("kind", fl.KINDS)
+    def test_bit_identical_to_add_at_reference_on_grid(self, grid, kind):
+        for case in grid:
+            got = fl.oracle.equation_matrix(kind, case.inst)
+            assert np.array_equal(got, equation_matrix_add_at(kind, case.inst)), case.name
 
 
 class TestConvergenceBudget:
