@@ -45,6 +45,9 @@ EXIT_THEOREM = 4
 
 RESIDUAL_TOL = 1e-10
 MATCH_EPS = 1e-6
+# Residuals are of order (sum_i |w_i|)^2 and the oracle's line search squares
+# them, so float64 overflows near a total variation of 1e76.
+MAX_TOTAL_VARIATION = 1e50
 
 _KIND_BY_COMMAND = {
     "vanvleck": "van_vleck",
@@ -83,6 +86,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_index(v) -> bool:
+    """JSON integer that fits the int64 tables it is stored in."""
+    return _is_int(v) and -(2**63) <= v < 2**63
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -113,12 +121,12 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
         f"cayley must be a flat list of {n * n} indices",
     )
     _require(
-        all(_is_int(v) for v in cayley), "cayley entries must be integers"
+        all(_is_index(v) for v in cayley), "cayley entries must be 64-bit integers"
     )
     inv = data["involution"]
     _require(
-        isinstance(inv, list) and len(inv) == n and all(_is_int(v) for v in inv),
-        f"involution must be a list of {n} integers",
+        isinstance(inv, list) and len(inv) == n and all(_is_index(v) for v in inv),
+        f"involution must be a list of {n} 64-bit integers",
     )
     atoms_raw = data["measure"]
     _require(
@@ -148,6 +156,12 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
     sg = validate_semigroup(np.asarray(cayley, dtype=np.int64).reshape(n, n))
     tau = validate_involution(sg, inv)
     mu = central_measure(sg, atoms)
+    total = sum(math.hypot(w.real, w.imag) for w in mu.weights)
+    _require(
+        total <= MAX_TOTAL_VARIATION,
+        f"measure total variation must be finite and at most "
+        f"{MAX_TOTAL_VARIATION}, got {total}",
+    )
     return Instance(sg=sg, tau=tau, mu=mu), labels
 
 

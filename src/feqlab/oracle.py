@@ -1,10 +1,13 @@
 """Independent numeric solver: random-restart damped Gauss-Newton.
 
 Each equation is a quadratic system in the n complex values of f: a linear
-part (the measure-weighted shifts) plus the uniform quadratic term
--2 f(x) f(y), one complex equation per pair (x, y).  The solver works on the
-real 2n-dimensional embedding with pseudoinverse steps and a halving line
-search, which keeps rank-deficient Jacobians (e.g. at f = 0) unexceptional.
+part A f (the measure-weighted shifts) plus the uniform quadratic term
+-2 f(x) f(y), one complex equation per pair (x, y).  The residual is
+holomorphic, so the solver steps in complex arithmetic: the minimum-norm
+step -pinv(J^H J) J^H r, whose Gram matrix and gradient have a closed form
+in A and f, so the n^2 x n Jacobian is never built.  A halving line search
+follows each step; the pseudoinverse keeps rank-deficient Jacobians (e.g.
+at f = 0) unexceptional.
 
 Restarts are seeded independently by their counter and merged by canonical
 sort, so the result is bit-identical across runs and thread counts.  Random
@@ -70,12 +73,53 @@ def equation_matrix(kind: str, inst: Instance) -> np.ndarray:
     the equation's linear side evaluated at the j-th unit vector."""
     n = inst.sg.order
     columns = linear_part(kind, np.eye(n, dtype=np.complex128), inst.sg, inst.tau, inst.mu)
-    # C order: the BLAS calls on A and A.T, and so the oracle's bits, depend on layout
+    # C order: einsum picks its loop order, and BLAS its kernel for A^H A, from
+    # the strides, so the oracle's bits may depend on layout
     return np.ascontiguousarray(columns.reshape(n, n * n).T)
 
 
 def _residual(A: np.ndarray, F: np.ndarray, rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    return F @ A.T - 2.0 * F[:, rx] * F[:, ry]
+    return np.einsum("kj,pj->kp", F, A) - 2.0 * F[:, rx] * F[:, ry]
+
+
+def _sq_norm(rc: np.ndarray) -> np.ndarray:
+    return np.einsum("kr,kr->k", rc.real, rc.real) + np.einsum(
+        "kr,kr->k", rc.imag, rc.imag
+    )
+
+
+def _normal_equations(
+    A: np.ndarray, AhA: np.ndarray, F: np.ndarray, rc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix J^H J and gradient J^H r per row of F, in closed form.
+
+    The Jacobian is J = A - 2Q, where row (x, y) of Q holds F_y in column x
+    and F_x in column y.  With R = r as an n x n table and A3 = A as an
+    n x n x n one, Q^H r = sum_x conj F_x R[x, :] + sum_y conj F_y R[:, y],
+    Q^H A = M with M[j, m] = sum_x conj F_x A3[x, j, m] + sum_y conj F_y
+    A3[j, y, m], and Q^H Q = 2 (|F|^2 I + F F^H), so J (n^2 x n per
+    restart) is never formed.
+    """
+    K, n = F.shape
+    Fc = F.conj()
+    A3 = A.reshape(n, n, n)
+    R = rc.reshape(K, n, n)
+    M = np.einsum("kx,xjm->kjm", Fc, A3) + np.einsum("ky,jym->kjm", Fc, A3)
+    G = AhA - 2.0 * (M + M.conj().transpose(0, 2, 1))
+    G += 8.0 * np.einsum("kj,km->kjm", F, Fc)
+    diag = np.arange(n)
+    G[:, diag, diag] += 8.0 * np.einsum("kj,kj->k", Fc, F).real[:, None]
+    QhR = np.einsum("kx,kxj->kj", Fc, R) + np.einsum("ky,kjy->kj", Fc, R)
+    g = np.einsum("kp,pj->kj", rc, A.conj()) - 2.0 * QhR
+    return G, g
+
+
+def _gauss_newton_step(
+    A: np.ndarray, AhA: np.ndarray, F: np.ndarray, rc: np.ndarray
+) -> np.ndarray:
+    """Minimum-norm Gauss-Newton step -pinv(J) r, as -pinv(J^H J) J^H r."""
+    G, g = _normal_equations(A, AhA, F, rc)
+    return -np.einsum("kjm,km->kj", np.linalg.pinv(G, hermitian=True), g)
 
 
 def _start_point(seed: int, k: int, n: int, radius: float) -> np.ndarray:
@@ -110,18 +154,21 @@ def _gauss_newton_chunk(
 ) -> list[tuple[np.ndarray, float] | None]:
     """Run all restarts of one chunk in lockstep.
 
-    Every array operation below is elementwise per restart or per-matrix, so
-    each trajectory is exactly what a scalar implementation would produce; the
-    batching (and hence the chunking across threads) cannot change results.
+    Every array operation below is elementwise per restart or per-matrix, and
+    the products over restarts are einsums, whose sums run in the same order
+    for any batch size (BLAS switches from gemm to gemv for one row, which
+    changes the bits).  So each trajectory is exactly what a scalar
+    implementation would produce; the batching (and hence the chunking
+    across threads) cannot change results.
     """
-    n2, n = A.shape
+    n = A.shape[1]
     K = starts.shape[0]
     rx = np.repeat(np.arange(n), n)
     ry = np.tile(np.arange(n), n)
     bound = 10.0 * radius
-    rows = np.arange(n2)
+    AhA = A.conj().T @ A
 
-    U = np.concatenate([starts.real, starts.imag], axis=1)
+    U = starts.astype(np.complex128)
     alive = np.ones(K, dtype=bool)
     results: list[tuple[np.ndarray, float] | None] = [None] * K
 
@@ -135,7 +182,7 @@ def _gauss_newton_chunk(
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        F = U[idx, :n] + 1j * U[idx, n:]
+        F = U[idx]
         rc = _residual(A, F, rx, ry)
         res = np.abs(rc).max(axis=1)
         conv = record_converged(idx, F, res)
@@ -148,29 +195,14 @@ def _gauss_newton_chunk(
             if idx.size == 0:
                 continue
 
-        J = np.empty((idx.size, n2, n), dtype=np.complex128)
-        J[:] = A
-        J[:, rows, ry] += -2.0 * F[:, rx]
-        J[:, rows, rx] += -2.0 * F[:, ry]
-        Jr = np.empty((idx.size, 2 * n2, 2 * n))
-        Jr[:, :n2, :n] = J.real
-        Jr[:, :n2, n:] = -J.imag
-        Jr[:, n2:, :n] = J.imag
-        Jr[:, n2:, n:] = J.real
-        rr = np.concatenate([rc.real, rc.imag], axis=1)
-        step = -np.matmul(np.linalg.pinv(Jr), rr[:, :, None])[:, :, 0]
-
-        base = np.einsum("kr,kr->k", rr, rr)
-        Ua = U[idx]
-        Unew = Ua.copy()
+        step = _gauss_newton_step(A, AhA, F, rc)
+        base = _sq_norm(rc)
+        Unew = F.copy()
         alpha = np.ones(idx.size)
         pending = np.ones(idx.size, dtype=bool)
         for _ in range(60):
-            cand = Ua + alpha[:, None] * step
-            rc_c = _residual(A, cand[:, :n] + 1j * cand[:, n:], rx, ry)
-            s = np.einsum("kr,kr->k", rc_c.real, rc_c.real) + np.einsum(
-                "kr,kr->k", rc_c.imag, rc_c.imag
-            )
+            cand = F + alpha[:, None] * step
+            s = _sq_norm(_residual(A, cand, rx, ry))
             ok = pending & (s < base)
             Unew[ok] = cand[ok]
             pending &= ~ok
@@ -185,7 +217,7 @@ def _gauss_newton_chunk(
 
     idx = np.flatnonzero(alive)
     if idx.size:
-        F = U[idx, :n] + 1j * U[idx, n:]
+        F = U[idx]
         res = np.abs(_residual(A, F, rx, ry)).max(axis=1)
         record_converged(idx, F, res)
     return results

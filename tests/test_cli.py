@@ -327,3 +327,46 @@ class TestHardening:
         code, out = run(capsys, *command, write_spec(tmp_path), "--tol", tol)
         assert code == 2
         assert json.loads(out)["error"]["invariant"] == "option value"
+
+    @pytest.mark.parametrize("value", [10**23, -(10**23)])
+    @pytest.mark.parametrize("key", ["cayley", "involution"])
+    def test_integers_beyond_int64_rejected(self, tmp_path, capsys, key, value):
+        spec = {
+            "order": 1,
+            "cayley": [0],
+            "involution": [0],
+            "measure": [{"point": 0, "re": 1.0, "im": 0.0}],
+        }
+        spec[key] = [value]
+        code, out = run(capsys, "validate", write_spec(tmp_path, **spec))
+        assert code == 2
+        assert json.loads(out)["error"]["invariant"] == "spec format"
+
+    @staticmethod
+    def zero_semigroup_spec(tmp_path, weights):
+        return write_spec(
+            tmp_path,
+            order=2,
+            cayley=[0, 0, 0, 0],
+            involution=[0, 1],
+            measure=[
+                {"point": p, "re": re, "im": im} for p, (re, im) in enumerate(weights)
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[(1e308, 1e308)], [(1e308, 0.0), (1e308, 0.0)], [(6e49, 0.0), (0.0, 6e49)]],
+        ids=["abs-overflows", "sum-overflows", "above-cap"],
+    )
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+    def test_measure_total_variation_capped(self, tmp_path, capsys, weights, oracle):
+        path = self.zero_semigroup_spec(tmp_path, weights)
+        code, out = run(capsys, "solve", "kannappan", path, *oracle)
+        assert code == 2
+        assert json.loads(out)["error"]["invariant"] == "spec format"
+
+    def test_measure_at_total_variation_cap_accepted(self, tmp_path, capsys):
+        path = self.zero_semigroup_spec(tmp_path, [(5e49, 0.0), (0.0, 5e49)])
+        code, _ = run(capsys, "validate", path)
+        assert code == 0

@@ -7,7 +7,11 @@ import pytest
 import feqlab as fl
 from feqlab.characters import max_abs_diff
 
-from scalar_reference import equation_matrix_add_at
+from scalar_reference import (
+    equation_matrix_add_at,
+    gauss_newton_step_real_embedding,
+    jacobian,
+)
 
 Z4 = fl.cyclic_group(4)
 NEG = fl.inverse_involution(Z4)
@@ -18,6 +22,18 @@ COSINE = np.array([1, 0, -1, 0], dtype=complex)
 
 def make_inst(sg, tau, atoms):
     return fl.Instance(sg=sg, tau=tau, mu=fl.central_measure(sg, atoms))
+
+
+def group_inst(factors, atoms):
+    sg = fl.direct_product(*(fl.cyclic_group(m) for m in factors))
+    return make_inst(sg, fl.inverse_involution(sg), atoms)
+
+
+def assert_bit_identical(a, b):
+    assert len(a) == len(b)
+    for sa, sb in zip(a.solutions, b.solutions):
+        assert np.array_equal(sa.values, sb.values)
+        assert sa.residual == sb.residual
 
 
 @pytest.fixture(scope="module")
@@ -126,21 +142,14 @@ class TestDeterminism:
     def test_same_seed_bit_identical(self, z4_d1):
         a = fl.oracle_solve("van_vleck", z4_d1)
         b = fl.oracle_solve("van_vleck", z4_d1)
-        assert len(a) == len(b)
-        for sa, sb in zip(a.solutions, b.solutions):
-            assert np.array_equal(sa.values, sb.values)
-            assert sa.residual == sb.residual
+        assert_bit_identical(a, b)
 
     def test_thread_counts_agree(self, z4_d2, monkeypatch):
         reports = {}
         for threads in ("1", "4"):
             monkeypatch.setenv("FEQLAB_THREADS", threads)
             reports[threads] = fl.oracle_solve("kannappan", z4_d2)
-        a, b = reports["1"], reports["4"]
-        assert len(a) == len(b)
-        for sa, sb in zip(a.solutions, b.solutions):
-            assert np.array_equal(sa.values, sb.values)
-            assert sa.residual == sb.residual
+        assert_bit_identical(reports["1"], reports["4"])
 
     def test_different_seed_same_solution_set(self, z4_d1):
         a = fl.oracle_solve("van_vleck", z4_d1, fl.OracleConfig(rng_seed=0))
@@ -154,6 +163,40 @@ class TestDeterminism:
         assert fl.oracle.thread_count() >= 1
         monkeypatch.delenv("FEQLAB_THREADS")
         assert fl.oracle.thread_count() >= 1
+
+    def test_thread_counts_agree_with_one_restart_per_chunk(self, monkeypatch):
+        inst = group_inst((2, 6), [(0, 1.0), (3, 2.0)])
+        reports = {}
+        for threads in ("1", "4"):
+            monkeypatch.setenv("FEQLAB_THREADS", threads)
+            reports[threads] = fl.oracle_solve(
+                "kannappan", inst, fl.OracleConfig(restarts=4)
+            )
+        assert_bit_identical(reports["1"], reports["4"])
+
+    def test_chunk_of_one_matches_batch(self):
+        # a restart must end in the same bits whether it runs alone or in a
+        # batch, or the split of restarts across threads shows in the output
+        cfg = fl.OracleConfig(restarts=40)
+        for kind, inst in [
+            ("kannappan", group_inst((2, 6), [(0, 1.0), (3, 2.0)])),
+            ("dalembert", group_inst((4, 4), [(0, 1 + 1j), (1, 2.0)])),
+        ]:
+            A = fl.oracle.equation_matrix(kind, inst)
+            radius = fl.oracle._sampling_radius(kind, inst, cfg)
+            starts = np.stack(
+                [
+                    fl.oracle._start_point(0, k, inst.sg.order, radius)
+                    for k in range(cfg.restarts)
+                ]
+            )
+            batched = fl.oracle._gauss_newton_chunk(A, starts, radius, cfg)
+            for k, outcome in enumerate(batched):
+                alone = fl.oracle._gauss_newton_chunk(A, starts[k : k + 1], radius, cfg)[0]
+                assert (outcome is None) == (alone is None), (kind, k)
+                if outcome is not None:
+                    assert np.array_equal(outcome[0], alone[0]), (kind, k)
+                    assert outcome[1] == alone[1], (kind, k)
 
     @pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
     def test_thread_count_rejects_bad_env(self, monkeypatch, raw):
@@ -198,6 +241,37 @@ class TestEquationMatrix:
         for case in grid:
             got = fl.oracle.equation_matrix(kind, case.inst)
             assert np.array_equal(got, equation_matrix_add_at(kind, case.inst)), case.name
+
+
+class TestGaussNewtonStep:
+    # seeded random points in each instance's sampling disc, where the
+    # Jacobian is generically of full rank
+    @pytest.mark.parametrize("kind", fl.KINDS)
+    def test_closed_form_matches_explicit_jacobian_on_grid(self, grid, kind):
+        rng = np.random.default_rng(4)
+        cfg = fl.OracleConfig()
+        for case in grid:
+            inst = case.inst
+            n = inst.sg.order
+            radius = fl.oracle._sampling_radius(kind, inst, cfg)
+            F = radius * np.sqrt(rng.uniform(size=(4, n))) * np.exp(
+                2j * np.pi * rng.uniform(size=(4, n))
+            )
+            linear = fl.linear_part(kind, F, inst.sg, inst.tau, inst.mu)
+            rc = (linear - 2.0 * F[:, :, None] * F[:, None, :]).reshape(4, n * n)
+            A = fl.oracle.equation_matrix(kind, inst)
+            AhA = A.conj().T @ A
+            J = jacobian(A, F)
+            gram, _ = fl.oracle._normal_equations(A, AhA, F, rc)
+            step = fl.oracle._gauss_newton_step(A, AhA, F, rc)
+            ref = gauss_newton_step_real_embedding(A, F, rc)
+            for k in range(4):
+                j2 = np.linalg.norm(J[k], 2)
+                explicit = J[k].conj().T @ J[k]
+                assert np.linalg.norm(gram[k] - explicit, 2) <= 1e-12 * (1 + j2**2), case.name
+                assert np.linalg.norm(step[k] - ref[k]) <= 1e-10 * (
+                    1 + np.linalg.norm(ref[k])
+                ), case.name
 
 
 class TestConvergenceBudget:
