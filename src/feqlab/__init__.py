@@ -16,6 +16,7 @@ from .equations import (
     is_abelian_function,
     kannappan_condition_residual,
     linear_part,
+    residual,
     residual_dalembert,
     residual_kannappan,
     residual_mu_spherical,
@@ -30,7 +31,6 @@ from .errors import (
     InvariantViolation,
     NotAntiHomomorphism,
     NotAssociative,
-    NotDirac,
     NotInvolutive,
     SupportNotCentral,
     ZeroDenominator,
@@ -45,11 +45,11 @@ from .families import (
     dalembert_admissible,
     dalembert_integral_conditions,
     dalembert_to_kannappan,
+    family,
     kannappan_abelian_family,
     kannappan_identity_suite,
     kannappan_to_dalembert,
     van_vleck_family,
-    van_vleck_family_dirac,
     van_vleck_identity_suite,
 )
 from .measures import (
@@ -83,5 +83,6 @@ from .semigroups import (
     validate_involution,
     validate_semigroup,
 )
+from .verify import VerifyReport, verify_instance
 
 __version__ = "0.1.0"

@@ -12,38 +12,19 @@ import math
 
 import numpy as np
 
-from .characters import enumerate_multiplicative, max_abs_diff
-from .equations import (
-    Instance,
-    residual_dalembert,
-    residual_kannappan,
-    residual_van_vleck,
-)
-from .errors import EquivalenceViolation, InvariantViolation, ZeroDenominator
-from .families import (
-    Solution,
-    SolutionReport,
-    character_integrals,
-    dalembert_abelian_family,
-    dalembert_admissible,
-    dalembert_integral_conditions,
-    dalembert_to_kannappan,
-    kannappan_abelian_family,
-    kannappan_identity_suite,
-    kannappan_to_dalembert,
-    van_vleck_family,
-    van_vleck_identity_suite,
-)
+from .equations import Instance
+from .errors import InvariantViolation
+from .families import Solution, character_integrals, family
 from .measures import central_measure, is_tau_invariant
 from .oracle import OracleConfig, match_solution_sets, oracle_solve
 from .semigroups import center, orbit, validate_involution, validate_semigroup
+from .verify import verify_instance
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
 EXIT_THEOREM = 4
 
-RESIDUAL_TOL = 1e-10
 MATCH_EPS = 1e-6
 # Residuals are of order (sum_i |w_i|)^2 and the oracle's line search squares
 # them, so float64 overflows near a total variation of 1e76.
@@ -64,16 +45,17 @@ class OptionError(InvariantViolation):
     invariant = "option value"
 
 
+def _json_default(o):
+    """Complex numbers as {"im", "re"} objects, arrays as lists of them."""
+    if isinstance(o, np.ndarray):
+        return [complex(v) for v in o]
+    if isinstance(o, complex):
+        return {"im": float(o.imag), "re": float(o.real)}
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _c2j(z: complex) -> dict:
-    return {"im": float(z.imag), "re": float(z.real)}
-
-
-def _f2j(f) -> list[dict]:
-    return [_c2j(complex(v)) for v in np.asarray(f)]
+    print(json.dumps(obj, indent=2, sort_keys=True, default=_json_default))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -107,7 +89,8 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
             data = json.load(fh)
     except OSError as exc:
         raise SpecFormatError(f"cannot read spec file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, nested too deep, or an integer of too many digits
         raise SpecFormatError(f"spec file is not valid JSON: {exc}") from exc
 
     _require(isinstance(data, dict), "spec must be a JSON object")
@@ -143,7 +126,10 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
             _is_number(a["re"]) and _is_number(a["im"]),
             "atom weights re, im must be numbers",
         )
-        atoms.append((a["point"], complex(float(a["re"]), float(a["im"]))))
+        try:
+            atoms.append((a["point"], complex(float(a["re"]), float(a["im"]))))
+        except OverflowError as exc:
+            raise SpecFormatError(f"atom weight beyond float range: {exc}") from exc
     labels = data.get("labels")
     if labels is not None:
         _require(
@@ -156,7 +142,7 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
     sg = validate_semigroup(np.asarray(cayley, dtype=np.int64).reshape(n, n))
     tau = validate_involution(sg, inv)
     mu = central_measure(sg, atoms)
-    total = sum(math.hypot(w.real, w.imag) for w in mu.weights)
+    total = mu.total_variation
     _require(
         total <= MAX_TOTAL_VARIATION,
         f"measure total variation must be finite and at most "
@@ -166,11 +152,7 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
 
 
 def _solution_json(sol: Solution) -> dict:
-    return {
-        "provenance": sol.provenance,
-        "residual": float(sol.residual),
-        "values": _f2j(sol.values),
-    }
+    return {"provenance": sol.provenance, "residual": sol.residual, "values": sol.values}
 
 
 def cmd_validate(args) -> int:
@@ -178,9 +160,7 @@ def cmd_validate(args) -> int:
     sg = inst.sg
     summary = {
         "center": list(center(sg)),
-        "measure": [
-            {"point": z, "weight": _c2j(w)} for z, w in inst.mu.atoms()
-        ],
+        "measure": [{"point": z, "weight": w} for z, w in inst.mu.atoms()],
         "orbits": [
             {"element": x, "index": orbit(sg, x).index, "period": orbit(sg, x).period}
             for x in range(sg.order)
@@ -196,43 +176,25 @@ def cmd_validate(args) -> int:
 
 def cmd_chars(args) -> int:
     inst, _ = load_instance_file(args.spec_file)
-    entries = []
-    for k, ci in enumerate(character_integrals(inst)):
-        entries.append(
-            {
-                "index": k,
-                "int_mu": _c2j(ci.int_mu),
-                "int_mu_tau": _c2j(ci.int_mu_tau),
-                "kannappan_admissible": ci.kannappan_admissible(args.tol),
-                "values": _f2j(ci.chi),
-                "van_vleck_admissible": ci.van_vleck_admissible(args.tol),
-            }
-        )
+    entries = [
+        {
+            "index": k,
+            "int_mu": ci.int_mu,
+            "int_mu_tau": ci.int_mu_tau,
+            "kannappan_admissible": ci.kannappan_admissible(args.tol),
+            "values": ci.chi,
+            "van_vleck_admissible": ci.van_vleck_admissible(args.tol),
+        }
+        for k, ci in enumerate(character_integrals(inst))
+    ]
     _emit({"characters": entries, "count": len(entries), "order": inst.sg.order})
     return EXIT_OK
-
-
-def _constructed_report(kind: str, inst: Instance, tol: float) -> SolutionReport:
-    if kind == "van_vleck":
-        return van_vleck_family(inst, tol=tol)
-    if kind == "kannappan":
-        return kannappan_abelian_family(inst, tol=tol)
-    funcs = dalembert_abelian_family(inst.sg, inst.tau)
-    sols = tuple(
-        Solution(
-            values=g,
-            residual=residual_dalembert(g, inst.sg, inst.tau).max_abs,
-            provenance="constructed",
-        )
-        for g in funcs
-    )
-    return SolutionReport(equation="dalembert", solutions=sols)
 
 
 def cmd_solve(args) -> int:
     inst, _ = load_instance_file(args.spec_file)
     kind = _KIND_BY_COMMAND[args.kind]
-    constructed = _constructed_report(kind, inst, args.tol)
+    constructed = family(kind, inst, tol=args.tol)
     out = {
         "equation": kind,
         "order": inst.sg.order,
@@ -249,9 +211,9 @@ def cmd_solve(args) -> int:
             "solutions": [_solution_json(s) for s in found.solutions],
         }
         out["match"] = {
-            "pairs": [list(p) for p in result.pairs],
-            "unmatched_constructed": list(result.unmatched_left),
-            "unmatched_oracle": list(result.unmatched_right),
+            "pairs": result.pairs,
+            "unmatched_constructed": result.unmatched_left,
+            "unmatched_oracle": result.unmatched_right,
             "verdict": "match" if result.is_match else "mismatch",
         }
         if not result.is_match:
@@ -261,179 +223,28 @@ def cmd_solve(args) -> int:
             {
                 "provenance": "appended_zero",
                 "residual": 0.0,
-                "values": _f2j(np.zeros(inst.sg.order, dtype=complex)),
+                "values": np.zeros(inst.sg.order, dtype=complex),
             }
         )
     _emit(out)
     return exit_code
 
 
-def _failure(identity: str, max_abs: float, provenance: str, index: int, argmax=()) -> dict:
-    return {
-        "argmax": list(argmax),
-        "identity": identity,
-        "max_abs": max_abs,
-        "provenance": provenance,
-        "solution_index": index,
-    }
-
-
-def _suite_entries(report, inst, suite_fn, residual_fn, failures):
-    entries = []
-    for i, sol in enumerate(report.solutions):
-        suite = suite_fn(sol.values, inst)
-        eq_res = residual_fn(sol.values, inst)
-        entry = {
-            "equation_residual": eq_res.max_abs,
-            "identities": {k: float(v) for k, v in suite.residuals.items()},
-            "mass": _c2j(suite.mass),
-            "provenance": sol.provenance,
-            "solution_index": i,
-        }
-        entries.append(entry)
-        if eq_res.max_abs > RESIDUAL_TOL:
-            failures.append(
-                _failure(
-                    f"{report.equation}_equation",
-                    eq_res.max_abs,
-                    sol.provenance,
-                    i,
-                    eq_res.argmax,
-                )
-            )
-            continue
-        for name in suite.failures():
-            failures.append(
-                _failure(
-                    name,
-                    suite.residuals.get(name, 0.0),
-                    sol.provenance,
-                    i,
-                    suite.argmax.get(name, ()),
-                )
-            )
-    return entries
-
-
 def cmd_verify(args) -> int:
     inst, _ = load_instance_file(args.spec_file)
-    chars = enumerate_multiplicative(inst.sg)
-    cfg = OracleConfig(rng_seed=args.seed)
-    failures: list[dict] = []
-
-    def merge(constructed: SolutionReport, found: SolutionReport) -> SolutionReport:
-        return SolutionReport(
-            equation=constructed.equation,
-            solutions=constructed.solutions + found.solutions,
-        )
-
-    vv = merge(van_vleck_family(inst, chars), oracle_solve("van_vleck", inst, cfg))
-    kan = merge(
-        kannappan_abelian_family(inst, chars), oracle_solve("kannappan", inst, cfg)
-    )
-    dal_funcs = dalembert_abelian_family(inst.sg, inst.tau, chars) + [
-        s.values for s in oracle_solve("dalembert", inst, cfg).solutions
-    ]
-
-    vv_entries = _suite_entries(
-        vv, inst, van_vleck_identity_suite, residual_van_vleck, failures
-    )
-    kan_entries = _suite_entries(
-        kan, inst, kannappan_identity_suite, residual_kannappan, failures
-    )
-
-    # bijection round-trips on the cosine-type solutions
-    roundtrip_back = 0.0
-    for i, sol in enumerate(kan.solutions):
-        try:
-            g = kannappan_to_dalembert(sol.values, inst)
-        except ZeroDenominator:
-            # a nonzero cosine-type solution must have nonzero mass
-            failures.append(_failure("nonzero_mass", 0.0, sol.provenance, i))
-            continue
-        g_res = residual_dalembert(g, inst.sg, inst.tau)
-        ok_member = False
-        try:
-            ok_member = dalembert_admissible(g, inst)
-        except EquivalenceViolation:
-            ok_member = False
-        back = max_abs_diff(dalembert_to_kannappan(g, inst), sol.values)
-        roundtrip_back = max(roundtrip_back, back)
-        if g_res.max_abs > RESIDUAL_TOL or not ok_member or back > RESIDUAL_TOL:
-            failures.append(
-                _failure(
-                    "bijection_inverse",
-                    max(g_res.max_abs, back),
-                    sol.provenance,
-                    i,
-                    g_res.argmax,
-                )
-            )
-
-    # integral-condition equivalence and forward round-trips on the
-    # d'Alembert solutions
-    dal_entries = []
-    roundtrip_fwd = 0.0
-    for i, g in enumerate(dal_funcs):
-        conds = dalembert_integral_conditions(g, inst)
-        dal_entries.append(
-            {
-                "conditions": {
-                    "double_mass": conds.double_mass,
-                    "proportionality": conds.proportionality,
-                    "tau_shift": conds.tau_shift,
-                },
-                "consistent": conds.consistent,
-                "mass": _c2j(conds.mass),
-                "solution_index": i,
-            }
-        )
-        if not conds.consistent:
-            failures.append(
-                _failure(
-                    "integral_conditions_equivalence",
-                    max(conds.deviations),
-                    "dalembert",
-                    i,
-                )
-            )
-            continue
-        if abs(conds.mass) > args.tol and conds.all_hold:
-            f = dalembert_to_kannappan(g, inst)
-            f_res = residual_kannappan(f, inst)
-            try:
-                back = max_abs_diff(kannappan_to_dalembert(f, inst), g)
-            except ZeroDenominator:
-                # the forward image lost its mass: not a valid member
-                failures.append(_failure("nonzero_mass", 0.0, "dalembert", i))
-                continue
-            roundtrip_fwd = max(roundtrip_fwd, back)
-            if f_res.max_abs > RESIDUAL_TOL or back > RESIDUAL_TOL:
-                failures.append(
-                    _failure(
-                        "bijection_forward",
-                        max(f_res.max_abs, back),
-                        "dalembert",
-                        i,
-                        f_res.argmax,
-                    )
-                )
-
+    report = verify_instance(inst, OracleConfig(rng_seed=args.seed), tol=args.tol)
     out = {
-        "dalembert_conditions": dal_entries,
-        "kannappan_suites": kan_entries,
-        "pass": not failures,
-        "roundtrip_max": {
-            "backward": roundtrip_back,
-            "forward": roundtrip_fwd,
-        },
-        "van_vleck_suites": vv_entries,
+        "dalembert_conditions": report.dalembert_conditions,
+        "kannappan_suites": report.kannappan_suites,
+        "pass": report.passed,
+        "roundtrip_max": report.roundtrip_max,
+        "van_vleck_suites": report.van_vleck_suites,
     }
-    if failures:
-        out["first_failure"] = failures[0]
-        out["failures"] = failures
+    if report.failures:
+        out["first_failure"] = report.failures[0]
+        out["failures"] = report.failures
     _emit(out)
-    return EXIT_OK if not failures else EXIT_THEOREM
+    return EXIT_OK if report.passed else EXIT_THEOREM
 
 
 def main(argv=None) -> int:

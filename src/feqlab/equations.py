@@ -73,14 +73,24 @@ def _residual(kind, f, sg, tau, mu=None) -> Residual:
     return _worst(linear_part(kind, fa, sg, tau, mu) - 2 * np.outer(fa, fa))
 
 
+def residual(kind: str, f, inst: Instance) -> Residual:
+    """Worst deviation of f from one equation over all (x, y):
+
+    van_vleck: int f(x tau(y) t) - int f(x y t) = 2 f(x) f(y)
+    kannappan: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)
+    dalembert: g(xy) + g(x tau(y)) = 2 g(x) g(y)   (mu is ignored)
+    """
+    return _residual(kind, f, inst.sg, inst.tau, inst.mu)
+
+
 def residual_van_vleck(f, inst: Instance) -> Residual:
     """Sine-type equation: int f(x tau(y) t) - int f(x y t) = 2 f(x) f(y)."""
-    return _residual("van_vleck", f, inst.sg, inst.tau, inst.mu)
+    return residual("van_vleck", f, inst)
 
 
 def residual_kannappan(f, inst: Instance) -> Residual:
     """Cosine-type equation: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)."""
-    return _residual("kannappan", f, inst.sg, inst.tau, inst.mu)
+    return residual("kannappan", f, inst)
 
 
 def residual_dalembert(g, sg: FiniteSemigroup, tau: Involution) -> Residual:

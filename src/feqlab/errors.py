@@ -43,10 +43,6 @@ class SupportNotCentral(InvariantViolation):
     invariant = "support not central"
 
 
-class NotDirac(InvariantViolation):
-    invariant = "not a unit point mass"
-
-
 class InvalidEnvironment(InvariantViolation):
     invariant = "invalid environment variable"
 

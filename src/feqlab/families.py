@@ -25,15 +25,9 @@ from .characters import (
     enumerate_multiplicative,
     max_abs,
 )
-from .equations import (
-    Instance,
-    is_abelian_function,
-    residual_dalembert,
-    residual_kannappan,
-    residual_van_vleck,
-)
-from .errors import EquivalenceViolation, NotDirac, ZeroDenominator
-from .measures import right_integral_table, total_mass_integral
+from .equations import KINDS, Instance, is_abelian_function, residual
+from .errors import EquivalenceViolation, ZeroDenominator
+from .measures import CentralMeasure, right_integral_table, total_mass_integral
 from .semigroups import FiniteSemigroup, Involution
 
 ADMISSIBLE_TOL = 1e-9   # admissibility and membership predicates
@@ -92,97 +86,63 @@ def character_integrals(inst: Instance, chars=None) -> list[CharacterIntegrals]:
     return out
 
 
-def _as_report(equation, funcs, residual_of, dedup_eps) -> SolutionReport:
-    kept = dedup_canonical(funcs, eps=dedup_eps)
+def family(
+    kind: str,
+    inst: Instance,
+    chars=None,
+    tol: float = ADMISSIBLE_TOL,
+    dedup_eps: float = DEDUP_EPS,
+) -> SolutionReport:
+    """Constructed solutions of one equation, one candidate per multiplicative
+    function chi (see the module docstring).  van_vleck: all nonzero solutions
+    (chi and chi o tau give the same member); kannappan: all nonzero abelian
+    solutions; dalembert: the abelian solutions (mu is ignored)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown equation kind {kind!r}")
+    funcs = []
+    for ci in character_integrals(inst, chars):
+        chi_tau = compose_tau(ci.chi, inst.tau)
+        if kind == "van_vleck":
+            if not ci.van_vleck_admissible(tol):
+                continue
+            f = 0.5 * (ci.chi - chi_tau) * ci.int_mu_tau
+        elif kind == "kannappan":
+            if not ci.kannappan_admissible(tol):
+                continue
+            f = 0.5 * (ci.chi + chi_tau) * ci.int_mu
+        else:
+            f = 0.5 * (ci.chi + chi_tau)
+        if max_abs(f) > dedup_eps:
+            funcs.append(f)
     sols = tuple(
-        Solution(values=f, residual=residual_of(f).max_abs, provenance="constructed")
-        for f in kept
+        Solution(values=f, residual=residual(kind, f, inst).max_abs, provenance="constructed")
+        for f in dedup_canonical(funcs, eps=dedup_eps)
     )
-    return SolutionReport(equation=equation, solutions=sols)
+    return SolutionReport(equation=kind, solutions=sols)
 
 
 def van_vleck_family(
-    inst: Instance,
-    chars=None,
-    tol: float = ADMISSIBLE_TOL,
-    dedup_eps: float = DEDUP_EPS,
+    inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL, dedup_eps: float = DEDUP_EPS
 ) -> SolutionReport:
-    """All nonzero solutions of the sine-type equation.
-
-    chi and chi o tau yield the identical function, so each admissible pair
-    collapses to one family member during deduplication.
-    """
-    funcs = []
-    for ci in character_integrals(inst, chars):
-        if not ci.van_vleck_admissible(tol):
-            continue
-        f = 0.5 * (ci.chi - compose_tau(ci.chi, inst.tau)) * ci.int_mu_tau
-        if max_abs(f) > dedup_eps:
-            funcs.append(f)
-    return _as_report(
-        "van_vleck", funcs, lambda f: residual_van_vleck(f, inst), dedup_eps
-    )
-
-
-def van_vleck_family_dirac(
-    inst: Instance,
-    chars=None,
-    tol: float = ADMISSIBLE_TOL,
-    dedup_eps: float = DEDUP_EPS,
-) -> SolutionReport:
-    """Unit-point-mass specialization: f = chi(tau(z0)) (chi - chi o tau)/2.
-
-    Must agree with van_vleck_family whenever it applies.
-    """
-    if len(inst.mu.points) != 1 or complex(inst.mu.weights[0]) != 1 + 0j:
-        raise NotDirac("specialization needs a single atom of weight 1")
-    z0 = int(inst.mu.points[0])
-    tz0 = inst.tau(z0)
-    if chars is None:
-        chars = enumerate_multiplicative(inst.sg)
-    funcs = []
-    for chi in chars:
-        if abs(chi[z0]) <= tol or abs(chi[tz0] + chi[z0]) >= tol:
-            continue
-        f = complex(chi[tz0]) * 0.5 * (chi - compose_tau(chi, inst.tau))
-        if max_abs(f) > dedup_eps:
-            funcs.append(f)
-    return _as_report(
-        "van_vleck", funcs, lambda f: residual_van_vleck(f, inst), dedup_eps
-    )
+    """All nonzero solutions of the sine-type equation."""
+    return family("van_vleck", inst, chars, tol, dedup_eps)
 
 
 def kannappan_abelian_family(
-    inst: Instance,
-    chars=None,
-    tol: float = ADMISSIBLE_TOL,
-    dedup_eps: float = DEDUP_EPS,
+    inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL, dedup_eps: float = DEDUP_EPS
 ) -> SolutionReport:
     """All nonzero abelian solutions of the cosine-type equation."""
-    funcs = []
-    for ci in character_integrals(inst, chars):
-        if not ci.kannappan_admissible(tol):
-            continue
-        f = 0.5 * (ci.chi + compose_tau(ci.chi, inst.tau)) * ci.int_mu
-        if max_abs(f) > dedup_eps:
-            funcs.append(f)
-    return _as_report(
-        "kannappan", funcs, lambda f: residual_kannappan(f, inst), dedup_eps
-    )
+    return family("kannappan", inst, chars, tol, dedup_eps)
 
 
 def dalembert_abelian_family(
     sg: FiniteSemigroup, tau: Involution, chars=None, dedup_eps: float = DEDUP_EPS
 ) -> list[np.ndarray]:
-    """Even parts g = (chi + chi o tau)/2 of the multiplicative functions."""
-    if chars is None:
-        chars = enumerate_multiplicative(sg)
-    funcs = []
-    for chi in chars:
-        g = 0.5 * (chi + compose_tau(chi, tau))
-        if max_abs(g) > dedup_eps:
-            funcs.append(g)
-    return dedup_canonical(funcs, eps=dedup_eps)
+    """Even parts g = (chi + chi o tau)/2 of the multiplicative functions, as
+    a bare list.  The equation has no measure; they are built on the zero one."""
+    no_mu = CentralMeasure(points=np.zeros(0, np.int64), weights=np.zeros(0, complex))
+    inst = Instance(sg=sg, tau=tau, mu=no_mu)
+    return family("dalembert", inst, chars, dedup_eps=dedup_eps).values()
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +258,19 @@ def _worst_over_x(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(values[x]), (x,)
 
 
+# degree in mu of the terms each identity compares (f itself has degree 1):
+# a tolerance on the identity scales with the measure's size to this power
+MU_DEGREE = {
+    "odd_part": 1,
+    "even_part": 1,
+    "shift_symmetry": 2,
+    "double_mass_plain": 3,
+    "double_mass_tau": 3,
+    "sandwich_tau": 3,
+    "sandwich_plain": 3,
+}
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     """Residuals of the identities a solution must satisfy, where each
@@ -309,13 +282,31 @@ class SuiteReport:
     mass: complex
     mass_required: bool
 
+    @classmethod
+    def of(cls, checks, mass: complex, mass_required: bool) -> "SuiteReport":
+        """From one dict of (residual, argmax) pairs by identity name."""
+        return cls(
+            residuals={name: dev for name, (dev, _) in checks.items()},
+            argmax={name: at for name, (_, at) in checks.items()},
+            mass=mass,
+            mass_required=mass_required,
+        )
+
     def worst(self) -> float:
         return max(self.residuals.values())
 
     def failures(
-        self, tol: float = RESIDUAL_TOL, mass_tol: float = ADMISSIBLE_TOL
+        self,
+        tol: float = RESIDUAL_TOL,
+        mass_tol: float = ADMISSIBLE_TOL,
+        mu_scale: float = 1.0,
     ) -> list[str]:
-        bad = [name for name, dev in self.residuals.items() if dev > tol]
+        """Identities off by more than tol * mu_scale ** MU_DEGREE[name]."""
+        bad = [
+            name
+            for name, dev in self.residuals.items()
+            if dev > tol * mu_scale ** MU_DEGREE[name]
+        ]
         if self.mass_required and abs(self.mass) <= mass_tol:
             bad.append("nonzero_mass")
         return bad
@@ -342,27 +333,19 @@ def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:
     mass = total_mass_integral(fa, mu)
     plain, tilted = _leads(inst)
     r = right_integral_table(inst.sg, fa, mu)
-    sand_tau = _worst_over_x(np.abs(_shifted_sums(r, inst, tilted) - fa * mass))
-    sand_plain = _worst_over_x(np.abs(_shifted_sums(r, inst, plain) + fa * mass))
-    odd = _worst_over_x(np.abs(fa + fa[tau.perm]))
-    shift = _worst_over_x(np.abs(r[tau.perm] - r))
-    residuals = {
-        "odd_part": odd[0],
-        "double_mass_plain": abs(_double_mass(r, inst, plain)),
-        "double_mass_tau": abs(_double_mass(r, inst, tilted)),
-        "sandwich_tau": sand_tau[0],
-        "sandwich_plain": sand_plain[0],
-        "shift_symmetry": shift[0],
+    checks = {
+        "odd_part": _worst_over_x(np.abs(fa + fa[tau.perm])),
+        "double_mass_plain": (abs(_double_mass(r, inst, plain)), ()),
+        "double_mass_tau": (abs(_double_mass(r, inst, tilted)), ()),
+        "sandwich_tau": _worst_over_x(
+            np.abs(_shifted_sums(r, inst, tilted) - fa * mass)
+        ),
+        "sandwich_plain": _worst_over_x(
+            np.abs(_shifted_sums(r, inst, plain) + fa * mass)
+        ),
+        "shift_symmetry": _worst_over_x(np.abs(r[tau.perm] - r)),
     }
-    argmax = {
-        "odd_part": odd[1],
-        "double_mass_plain": (),
-        "double_mass_tau": (),
-        "sandwich_tau": sand_tau[1],
-        "sandwich_plain": sand_plain[1],
-        "shift_symmetry": shift[1],
-    }
-    return SuiteReport(residuals=residuals, argmax=argmax, mass=mass, mass_required=True)
+    return SuiteReport.of(checks, mass, mass_required=True)
 
 
 def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
@@ -378,25 +361,16 @@ def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
     mass = total_mass_integral(fa, mu)
     plain, tilted = _leads(inst)
     r = right_integral_table(inst.sg, fa, mu)
-    sand_tau = _worst_over_x(np.abs(_shifted_sums(r, inst, tilted) - fa * mass))
-    sand_plain = _worst_over_x(np.abs(_shifted_sums(r, inst, plain) - fa * mass))
-    even = _worst_over_x(np.abs(fa - fa[tau.perm]))
-    residuals = {
-        "even_part": even[0],
-        "sandwich_tau": sand_tau[0],
-        "sandwich_plain": sand_plain[0],
+    checks = {
+        "even_part": _worst_over_x(np.abs(fa - fa[tau.perm])),
+        "sandwich_tau": _worst_over_x(
+            np.abs(_shifted_sums(r, inst, tilted) - fa * mass)
+        ),
+        "sandwich_plain": _worst_over_x(
+            np.abs(_shifted_sums(r, inst, plain) - fa * mass)
+        ),
     }
-    argmax = {
-        "even_part": even[1],
-        "sandwich_tau": sand_tau[1],
-        "sandwich_plain": sand_plain[1],
-    }
-    return SuiteReport(
-        residuals=residuals,
-        argmax=argmax,
-        mass=mass,
-        mass_required=max_abs(fa) > DEDUP_EPS,
-    )
+    return SuiteReport.of(checks, mass, mass_required=max_abs(fa) > DEDUP_EPS)
 
 
 @dataclass(frozen=True)
@@ -412,13 +386,9 @@ def associated_dalembert(
 ) -> tuple[np.ndarray, TransformReport]:
     """The d'Alembert solution g(x) = int f(x t) dmu / int f dmu attached to a
     nonzero sine-type solution f, with its side conditions evaluated."""
-    fa = np.asarray(f)
-    mass = total_mass_integral(fa, inst.mu)
-    if abs(mass) <= tol:
-        raise ZeroDenominator(f"int f dmu = {mass}, transform undefined")
-    g = right_integral_table(inst.sg, fa, inst.mu) / mass
+    g = kannappan_to_dalembert(f, inst, tol)
     report = TransformReport(
-        dalembert_residual=residual_dalembert(g, inst.sg, inst.tau).max_abs,
+        dalembert_residual=residual("dalembert", g, inst).max_abs,
         abelian=is_abelian_function(g, inst.sg),
         mean=total_mass_integral(g, inst.mu),
         double_mass=_double_mass(

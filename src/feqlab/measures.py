@@ -28,6 +28,11 @@ class CentralMeasure:
     def total_weight(self) -> complex:
         return complex(sum(self.weights))
 
+    @property
+    def total_variation(self) -> float:
+        """||mu|| = sum_i |w_i|; inf if the sum overflows."""
+        return sum((math.hypot(w.real, w.imag) for w in self.weights), 0.0)
+
 
 def central_measure(sg: FiniteSemigroup, atoms) -> CentralMeasure:
     """Build a measure in canonical form.

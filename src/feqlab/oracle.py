@@ -1,4 +1,4 @@
-"""Independent numeric solver: random-restart damped Gauss-Newton.
+"""Independent numeric solver: random-restart undamped Gauss-Newton.
 
 Each equation is a quadratic system in the n complex values of f: a linear
 part A f (the measure-weighted shifts) plus the uniform quadratic term

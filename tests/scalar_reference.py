@@ -6,12 +6,16 @@ finite-sum Fubini identity holds exactly, not merely within rounding.
 equation_matrix_add_at assembles each equation's linear part term by term
 with np.add.at.  jacobian and gauss_newton_step_real_embedding form the
 oracle's Jacobian explicitly and take its step through the real embedding.
+van_vleck_family_dirac is the sine family specialized to a unit point mass,
+a cross-check of the general construction.
 """
 from __future__ import annotations
 
 import numpy as np
 
 import feqlab as fl
+from feqlab.characters import dedup_canonical, max_abs
+from feqlab.families import ADMISSIBLE_TOL, DEDUP_EPS
 
 
 def right_integral(sg: fl.FiniteSemigroup, f, mu: fl.CentralMeasure, x: int) -> complex:
@@ -100,3 +104,37 @@ def gauss_newton_step_real_embedding(A: np.ndarray, F: np.ndarray, rc: np.ndarra
     rr = np.concatenate([rc.real, rc.imag], axis=1)
     step = -np.matmul(np.linalg.pinv(Jr), rr[:, :, None])[:, :, 0]
     return step[:, :n] + 1j * step[:, n:]
+
+
+def van_vleck_family_dirac(
+    inst: fl.Instance,
+    chars=None,
+    tol: float = ADMISSIBLE_TOL,
+    dedup_eps: float = DEDUP_EPS,
+) -> fl.SolutionReport:
+    """Unit-point-mass specialization of the sine family at mu = delta_z0:
+    f = chi(tau(z0)) (chi - chi o tau)/2 for chi(z0) != 0 and
+    chi(tau(z0)) = -chi(z0).  Must agree with van_vleck_family whenever it
+    applies; any other measure raises ValueError."""
+    if len(inst.mu.points) != 1 or complex(inst.mu.weights[0]) != 1 + 0j:
+        raise ValueError("specialization needs a single atom of weight 1")
+    z0 = int(inst.mu.points[0])
+    tz0 = inst.tau(z0)
+    if chars is None:
+        chars = fl.enumerate_multiplicative(inst.sg)
+    funcs = []
+    for chi in chars:
+        if abs(chi[z0]) <= tol or abs(chi[tz0] + chi[z0]) >= tol:
+            continue
+        f = complex(chi[tz0]) * 0.5 * (chi - fl.compose_tau(chi, inst.tau))
+        if max_abs(f) > dedup_eps:
+            funcs.append(f)
+    sols = tuple(
+        fl.Solution(
+            values=f,
+            residual=fl.residual_van_vleck(f, inst).max_abs,
+            provenance="constructed",
+        )
+        for f in dedup_canonical(funcs, eps=dedup_eps)
+    )
+    return fl.SolutionReport(equation="van_vleck", solutions=sols)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import feqlab as fl
-from feqlab import cli
+from feqlab import cli, verify
 from feqlab.families import Solution, SolutionReport
 
 
@@ -27,6 +27,20 @@ def write_spec(tmp_path, name="inst.json", **overrides):
 def run(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
+
+
+def forge_family(monkeypatch, kind, values):
+    """Make verify's constructed family of `kind` the single member `values`;
+    the other kinds keep their real families."""
+    real = verify.family
+
+    def fake_family(k, inst, chars=None, **kw):
+        if k != kind:
+            return real(k, inst, chars, **kw)
+        member = Solution(values=values, residual=0.0, provenance="constructed")
+        return SolutionReport(equation=k, solutions=(member,))
+
+    monkeypatch.setattr(verify, "family", fake_family)
 
 
 def s3_cayley():
@@ -214,16 +228,7 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # forge a constructed family containing a non-solution
-        def fake_family(inst, chars=None, **kw):
-            bad = np.full(inst.sg.order, 7.0, dtype=complex)
-            return SolutionReport(
-                equation="van_vleck",
-                solutions=(
-                    Solution(values=bad, residual=99.0, provenance="constructed"),
-                ),
-            )
-
-        monkeypatch.setattr(cli, "van_vleck_family", fake_family)
+        forge_family(monkeypatch, "van_vleck", np.full(4, 7.0, dtype=complex))
         path = write_spec(tmp_path)
         code, out = run(capsys, "verify-theorems", path)
         assert code == 4
@@ -236,16 +241,8 @@ class TestVerifyCommand:
     def test_zero_mass_solution_reported_not_crashed(self, tmp_path, capsys, monkeypatch):
         # forge a cosine-type "solution" whose measure integral vanishes; the
         # inverse map is undefined there and must surface as a suite failure
-        def fake_family(inst, chars=None, **kw):
-            sine = np.array([0, 1, 0, -1], dtype=complex)  # mass at point 2 is 0
-            return SolutionReport(
-                equation="kannappan",
-                solutions=(
-                    Solution(values=sine, residual=0.0, provenance="constructed"),
-                ),
-            )
-
-        monkeypatch.setattr(cli, "kannappan_abelian_family", fake_family)
+        sine = np.array([0, 1, 0, -1], dtype=complex)  # mass at point 2 is 0
+        forge_family(monkeypatch, "kannappan", sine)
         path = write_spec(tmp_path, measure=[{"point": 2, "re": 1.0, "im": 0.0}])
         code, out = run(capsys, "verify-theorems", path)
         assert code == 4
@@ -266,6 +263,31 @@ class TestVerifyCommand:
         assert code == 0
 
 
+class TestHeavyMeasure:
+    """verify-theorems tolerances scale with the measure's total variation."""
+
+    @pytest.mark.parametrize("re, im", [(100.0, 0.0), (1000.0, 0.0), (0.0, 100.0)])
+    def test_heavy_atom_passes(self, tmp_path, capsys, re, im):
+        path = write_spec(tmp_path, measure=[{"point": 1, "re": re, "im": im}])
+        code, out = run(capsys, "verify-theorems", path)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("weight", [1.0, 1000.0])
+    @pytest.mark.parametrize("kind", ["van_vleck", "kannappan"])
+    def test_moved_member_still_fails(self, tmp_path, capsys, monkeypatch, kind, weight):
+        path = write_spec(tmp_path, measure=[{"point": 1, "re": weight, "im": 0.0}])
+        inst, _ = cli.load_instance_file(path)
+        f = fl.family(kind, inst).solutions[0].values.copy()
+        x = int(np.argmax(np.abs(f)))
+        f[x] += 1e-6 * abs(f[x])
+        forge_family(monkeypatch, kind, f)
+        code, out = run(capsys, "verify-theorems", path)
+        assert code == 4
+        failed = {(e["provenance"], e["solution_index"]) for e in json.loads(out)["failures"]}
+        assert ("constructed", 0) in failed
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write_spec(tmp_path)
@@ -283,9 +305,21 @@ class TestDeterminism:
             )
         assert outputs["1"] == outputs["4"]
 
-    def test_json_is_key_sorted(self, tmp_path, capsys):
-        path = write_spec(tmp_path)
-        _, out = run(capsys, "validate", path)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "SPEC"),
+            ("chars", "SPEC"),
+            ("solve", "vanvleck", "SPEC"),
+            ("solve", "kannappan", "SPEC", "--oracle", "--include-zero"),
+            ("solve", "dalembert", "SPEC", "--oracle", "--include-zero"),
+            ("verify-theorems", "SPEC"),
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a != "SPEC"),
+    )
+    def test_json_is_key_sorted(self, tmp_path, capsys, argv):
+        path = write_spec(tmp_path, measure=[{"point": 1, "re": 1.0, "im": -0.5}])
+        _, out = run(capsys, *(path if a == "SPEC" else a for a in argv))
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
@@ -327,6 +361,24 @@ class TestHardening:
         code, out = run(capsys, *command, write_spec(tmp_path), "--tol", tol)
         assert code == 2
         assert json.loads(out)["error"]["invariant"] == "option value"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"\xff\xfe{}",
+            b'{"order": 1, "cayley": [0], "involution": [0], "measure": '
+            b'[{"point": 0, "re": 1' + b"0" * 400 + b', "im": 0.0}]}',
+            b"[" * 100_000,
+            b'{"order": 1' + b"0" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "weight-beyond-float", "nested-too-deep", "too-many-digits"],
+    )
+    def test_unreadable_spec_exits_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw)
+        code, out = run(capsys, "validate", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["invariant"] == "spec format"
 
     @pytest.mark.parametrize("value", [10**23, -(10**23)])
     @pytest.mark.parametrize("key", ["cayley", "involution"])

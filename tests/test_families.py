@@ -6,9 +6,9 @@ import pytest
 
 import feqlab as fl
 from feqlab.characters import canonical_key, max_abs_diff
-from feqlab.families import dalembert_integral_conditions
+from feqlab.families import SuiteReport, dalembert_integral_conditions
 
-from scalar_reference import double_integral, right_integral
+from scalar_reference import double_integral, right_integral, van_vleck_family_dirac
 
 Z4 = fl.cyclic_group(4)
 Z6 = fl.cyclic_group(6)
@@ -81,7 +81,7 @@ class TestVanVleckFamily:
 class TestDiracSpecialization:
     def test_z4_matches_general_family(self):
         inst = make_inst(Z4, NEG4, [(1, 1.0)])
-        special = fl.van_vleck_family_dirac(inst)
+        special = van_vleck_family_dirac(inst)
         general = fl.van_vleck_family(inst)
         assert same_sets(values_of(special), values_of(general))
         assert same_sets(values_of(special), [SINE])
@@ -92,24 +92,24 @@ class TestDiracSpecialization:
         for k in range(6):
             chi = np.exp(1j * np.pi * k * np.arange(6) / 3)
             assert abs(chi[5] + chi[1]) > 1e-9  # never admissible
-        assert len(fl.van_vleck_family_dirac(inst)) == 0
+        assert len(van_vleck_family_dirac(inst)) == 0
 
     def test_weighted_atom_rejected(self):
         inst = make_inst(Z4, NEG4, [(1, 2.0)])
-        with pytest.raises(fl.NotDirac):
-            fl.van_vleck_family_dirac(inst)
+        with pytest.raises(ValueError):
+            van_vleck_family_dirac(inst)
 
     def test_two_atoms_rejected(self):
         inst = make_inst(Z4, NEG4, [(1, 1.0), (3, 1.0)])
-        with pytest.raises(fl.NotDirac):
-            fl.van_vleck_family_dirac(inst)
+        with pytest.raises(ValueError):
+            van_vleck_family_dirac(inst)
 
     def test_agrees_on_every_unit_dirac_grid_case(self, grid):
         for case in grid:
             mu = case.inst.mu
             if len(mu.points) != 1 or complex(mu.weights[0]) != 1 + 0j:
                 continue
-            special = fl.van_vleck_family_dirac(case.inst, case.chars)
+            special = van_vleck_family_dirac(case.inst, case.chars)
             general = fl.van_vleck_family(case.inst, case.chars)
             assert same_sets(values_of(special), values_of(general))
 
@@ -190,6 +190,27 @@ class TestDalembertFamily:
             ):
                 res = fl.residual_dalembert(g, case.inst.sg, case.inst.tau)
                 assert res.max_abs < 1e-10
+
+
+class TestFamilyBuilder:
+    @pytest.mark.parametrize("kind", fl.KINDS)
+    def test_matches_named_builder_on_grid(self, grid, kind):
+        for case in grid:
+            inst, chars = case.inst, case.chars
+            got = fl.family(kind, inst, chars)
+            assert got.equation == kind
+            if kind == "van_vleck":
+                want = fl.van_vleck_family(inst, chars).values()
+            elif kind == "kannappan":
+                want = fl.kannappan_abelian_family(inst, chars).values()
+            else:
+                want = fl.dalembert_abelian_family(inst.sg, inst.tau, chars)
+            assert len(got) == len(want), case.name
+            assert all(np.array_equal(f, g) for f, g in zip(got.values(), want)), case.name
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            fl.family("sine", make_inst(Z4, NEG4, [(1, 1.0)]))
 
 
 class TestBijection:
@@ -306,6 +327,18 @@ class TestVanVleckSuite:
         suite = fl.van_vleck_identity_suite(np.ones(4, complex), inst)
         assert not suite.passed()
         assert "odd_part" in suite.failures()
+
+    @pytest.mark.parametrize(
+        "name, degree", [("odd_part", 1), ("shift_symmetry", 2), ("sandwich_tau", 3)]
+    )
+    def test_tolerance_scales_with_mu_degree(self, name, degree):
+        # each identity may deviate by tol * mu_scale ** (its degree in mu)
+        def failures(dev):
+            suite = SuiteReport.of({name: (dev, (0,))}, mass=1.0, mass_required=True)
+            return suite.failures(tol=1e-10, mu_scale=10.0)
+
+        assert failures(0.9e-10 * 10.0**degree) == []
+        assert failures(1.1e-10 * 10.0**degree) == [name]
 
 
 class TestKannappanSuite:

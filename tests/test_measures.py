@@ -49,6 +49,10 @@ class TestConstruction:
         mu = z4_measure((0, 1 + 1j), (2, -3j))
         assert mu.total_weight == 1 - 2j
 
+    def test_total_variation_sums_moduli(self):
+        mu = z4_measure((0, 3 + 4j), (2, -2.0))
+        assert mu.total_variation == 7.0
+
     def test_non_finite_weight_rejected(self):
         with pytest.raises(fl.InvalidMeasure):
             z4_measure((1, float("nan")))
