@@ -1,20 +1,26 @@
 """Enumeration of all nonzero multiplicative functions on a finite semigroup.
 
 A complex-valued function on S is stored as a length-n complex vector
-(one carrier for every function the package manipulates).  If x has orbit
-index i and period p then chi(x)^i (chi(x)^p - 1) = 0, so chi(x) is 0 or a
-p-th root of unity.  That gives a finite candidate set per element, and a
-backtracking search over candidate assignments recovers the complete set of
-multiplicative functions.
+(one carrier for every function the package manipulates).  The equations
+chi(x) chi(y) = chi(xy) form a closed quadratic system, so its complete
+root set comes from one joint-eigenvector computation (algebra.py), whose
+certificate says whether every root was found.  If x has orbit index i and
+period p then chi(x)^i (chi(x)^p - 1) = 0, so chi(x) is 0 or a p-th root of
+unity: each numeric root is snapped to these exact candidates and kept only
+if the exact scan passes, so the values are exact and independent of how
+the elements are labelled.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .algebra import closed_system_roots
 from .semigroups import FiniteSemigroup, Involution, orbit
 
 MULT_TOL = 1e-12     # absolute slack for the exact multiplicativity scan
 CANON_DECIMALS = 8   # rounding used by the canonical order and dedup
+ROOT_TOL = 1e-9      # residual check of the numeric roots before snapping
+DRAWS = 8            # combinations drawn at most while the certificate fails
 
 
 def as_cfunc(values, order: int) -> np.ndarray:
@@ -73,44 +79,27 @@ def enumerate_multiplicative(
 ) -> list[np.ndarray]:
     """All nonzero multiplicative functions, canonically ordered.
 
-    Elements are assigned in descending orbit-period order; a product
-    constraint chi(a*b) = chi(a)chi(b) is checked as soon as a, b and a*b are
-    all assigned, which prunes dead branches as early as possible.
-    Completeness is relative to the candidate-value sets above, which every
-    multiplicative function must respect.
+    Completeness rests on the certificate of closed_system_roots; when no
+    draw certifies (a root of very high multiplicity, as at the zero
+    function of a deep nilpotent semigroup), the roots of every draw are
+    pooled.
     """
     n = sg.order
-    cands = [candidate_values(sg, x) for x in range(n)]
-    order = sorted(range(n), key=lambda x: (-orbit(sg, x).period, x))
-    pos = {e: k for k, e in enumerate(order)}
-    ready: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ab = sg.mul(a, b)
-            ready[max(pos[a], pos[b], pos[ab])].append((a, b, ab))
-
-    values = np.zeros(n, dtype=np.complex128)
-    found: list[np.ndarray] = []
-
-    def assign(k: int) -> None:
-        if k == n:
-            found.append(values.copy())
-            return
-        e = order[k]
-        for v in cands[e]:
-            values[e] = v
-            if all(
-                abs(values[a] * values[b] - values[ab]) <= tol
-                for a, b, ab in ready[k]
-            ):
-                assign(k + 1)
-
-    assign(0)
-    if not include_zero:
-        found = [chi for chi in found if max_abs(chi) > tol]
-    for chi in found:
+    A = np.zeros((n * n, n))
+    A[np.arange(n * n), sg.cayley.ravel()] = 2.0
+    roots, _, _ = closed_system_roots(A, ROOT_TOL, draws=DRAWS)
+    snapped = np.empty_like(roots)
+    for x in range(n):
+        cands = candidate_values(sg, x)
+        nearest = np.abs(roots[:, x, None] - cands[None, :]).argmin(axis=1)
+        snapped[:, x] = cands[nearest]
+    found: dict[bytes, np.ndarray] = {}
+    for chi in snapped:
+        if is_multiplicative(sg, chi, tol) and (include_zero or max_abs(chi) > tol):
+            found.setdefault(chi.tobytes(), chi)
+    for chi in found.values():
         chi.setflags(write=False)
-    return sorted(found, key=canonical_key)
+    return sorted(found.values(), key=canonical_key)
 
 
 def compose_tau(chi, tau: Involution) -> np.ndarray:

@@ -26,8 +26,8 @@ EXIT_MISMATCH = 3
 EXIT_THEOREM = 4
 
 MATCH_EPS = 1e-6
-# Residuals are of order (sum_i |w_i|)^2 and the oracle's line search squares
-# them, so float64 overflows near a total variation of 1e76.
+# The identity suites compare terms of degree 3 in mu, with tolerances scaled
+# by (sum_i |w_i|)^3, so float64 overflows near a total variation of 1e100.
 MAX_TOTAL_VARIATION = 1e50
 
 _KIND_BY_COMMAND = {

@@ -37,16 +37,21 @@ DEDUP_EPS = 1e-8        # max-abs distance below which two functions coincide
 
 @dataclass(frozen=True, eq=False)
 class CharacterIntegrals:
-    """A multiplicative function with its two measure integrals."""
+    """A multiplicative function with its two measure integrals.  Both are
+    of degree 1 in mu, so the admissibility tests compare them with
+    tol * scale, scale = max(1, ||mu||)."""
 
     chi: np.ndarray
     int_mu: complex       # int chi dmu
     int_mu_tau: complex   # int chi o tau dmu
+    scale: float = 1.0
 
     def van_vleck_admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
+        tol *= self.scale
         return abs(self.int_mu) > tol and abs(self.int_mu_tau + self.int_mu) < tol
 
     def kannappan_admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
+        tol *= self.scale
         return abs(self.int_mu) > tol and abs(self.int_mu_tau - self.int_mu) < tol
 
 
@@ -81,6 +86,7 @@ def character_integrals(inst: Instance, chars=None) -> list[CharacterIntegrals]:
                 chi=chi,
                 int_mu=total_mass_integral(chi, inst.mu),
                 int_mu_tau=total_mass_integral(compose_tau(chi, inst.tau), inst.mu),
+                scale=inst.mu.scale,
             )
         )
     return out
@@ -182,9 +188,10 @@ def kannappan_to_dalembert(
 
     A vanishing denominator means f was not a nonzero Kannappan solution in
     the first place, so it is reported as an error rather than patched over.
+    The mass has degree 2 in mu (f has degree 1): the floor is tol * scale^2.
     """
     mass = total_mass_integral(f, inst.mu)
-    if abs(mass) <= tol:
+    if abs(mass) <= tol * inst.mu.scale**2:
         raise ZeroDenominator(f"int f dmu = {mass}, cannot invert")
     return right_integral_table(inst.sg, np.asarray(f), inst.mu) / mass
 
@@ -217,7 +224,11 @@ class DalembertConditions:
 def dalembert_integral_conditions(
     g, inst: Instance, tol: float = ADMISSIBLE_TOL
 ) -> DalembertConditions:
+    """The three conditions, each deviation compared with tol * scale^d for
+    its degree d in mu (1 for the two shift tables, 2 for the double mass;
+    g itself has degree 0)."""
     ga = np.asarray(g)
+    scale = inst.mu.scale
     plain, tilted = _leads(inst)
     r = right_integral_table(inst.sg, ga, inst.mu)
     r_tau = _shifted_sums(ga, inst, tilted)
@@ -227,9 +238,9 @@ def dalembert_integral_conditions(
     d_prop = float(np.max(np.abs(r - ga * mass)))
     d_mass = abs(dd - mass * mass)
     return DalembertConditions(
-        tau_shift=d_shift <= tol,
-        proportionality=d_prop <= tol,
-        double_mass=d_mass <= tol,
+        tau_shift=d_shift <= tol * scale,
+        proportionality=d_prop <= tol * scale,
+        double_mass=d_mass <= tol * scale**2,
         deviations=(d_shift, d_prop, d_mass),
         mass=mass,
     )
@@ -247,7 +258,7 @@ def dalembert_admissible(g, inst: Instance, tol: float = ADMISSIBLE_TOL) -> bool
         raise EquivalenceViolation(
             conds.tau_shift, conds.proportionality, conds.double_mass
         )
-    return abs(conds.mass) > tol and conds.all_hold
+    return abs(conds.mass) > tol * inst.mu.scale and conds.all_hold
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ class CentralMeasure:
         """||mu|| = sum_i |w_i|; inf if the sum overflows."""
         return sum((math.hypot(w.real, w.imag) for w in self.weights), 0.0)
 
+    @property
+    def scale(self) -> float:
+        """max(1, ||mu||): a quantity of degree d in mu is compared with a
+        tolerance times scale**d."""
+        return max(1.0, self.total_variation)
+
 
 def central_measure(sg: FiniteSemigroup, atoms) -> CentralMeasure:
     """Build a measure in canonical form.

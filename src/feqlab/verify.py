@@ -3,8 +3,9 @@
 Every solution of the three equations, constructed and oracle-found, goes
 through its identity suite; the nonzero Kannappan solutions and the
 admissible d'Alembert solutions go through the mass-scaling bijection and
-back; and the three integral conditions on each d'Alembert solution must
-agree.  Each check that fails is recorded, none raises.
+back; each d'Alembert solution must solve the d'Alembert equation, and its
+three integral conditions must agree.  Each check that fails is recorded,
+none raises.
 
 Residual tolerances are RESIDUAL_TOL * max(1, ||mu||)**d, with ||mu|| the
 total variation and d the degree in mu of the terms compared (a solution f
@@ -52,10 +53,10 @@ class VerifyReport:
 def verify_instance(
     inst: Instance, cfg: OracleConfig | None = None, tol: float = ADMISSIBLE_TOL
 ) -> VerifyReport:
-    """Run every check on inst; tol is the mass a d'Alembert solution needs
-    to be mapped forward through the bijection."""
+    """Run every check on inst; tol * max(1, ||mu||) is the mass a
+    d'Alembert solution needs to be mapped forward through the bijection."""
     chars = enumerate_multiplicative(inst.sg)
-    scale = max(1.0, inst.mu.total_variation)
+    scale = inst.mu.scale
     res_tol = [RESIDUAL_TOL * scale**d for d in range(3)]  # by degree in mu
     failures: list[dict] = []
 
@@ -138,10 +139,14 @@ def verify_instance(
                 "solution_index": i,
             }
         )
+        g_res = residual("dalembert", g, inst)
+        if g_res.max_abs > res_tol[0]:
+            fail("dalembert_equation", g_res.max_abs, sol.provenance, i, g_res.argmax)
+            continue
         if not conds.consistent:
             fail("integral_conditions_equivalence", max(conds.deviations), "dalembert", i)
             continue
-        if abs(conds.mass) > tol and conds.all_hold:
+        if abs(conds.mass) > tol * scale and conds.all_hold:
             f = dalembert_to_kannappan(g, inst)
             f_res = residual("kannappan", f, inst)
             try:

@@ -29,6 +29,14 @@ def corpus_semigroups() -> dict[str, fl.FiniteSemigroup]:
     }
 
 
+def nilpotent_monoid(k: int) -> fl.FiniteSemigroup:
+    """{1, a, ..., a^(k-1), 0} with a^k = 0, elements in that order.  Its
+    multiplicative function (1, 0, ..., 0) is a root of multiplicity k."""
+    e = np.arange(k + 1)
+    t = np.minimum(e[:, None] + e[None, :], k)
+    return fl.validate_semigroup(t)
+
+
 def involutions_for(sg: fl.FiniteSemigroup) -> dict[str, fl.Involution]:
     out: dict[str, fl.Involution] = {}
     try:

@@ -4,9 +4,7 @@ right_integral and double_integral are plain Python loops over the atoms; the
 inner sum of double_integral reuses right_integral verbatim, so the
 finite-sum Fubini identity holds exactly, not merely within rounding.
 equation_matrix_add_at assembles each equation's linear part term by term
-with np.add.at.  jacobian and gauss_newton_step_real_embedding form the
-oracle's Jacobian explicitly and take its step through the real embedding.
-van_vleck_family_dirac is the sine family specialized to a unit point mass,
+with np.add.at.  van_vleck_family_dirac is the sine family specialized to a unit point mass,
 a cross-check of the general construction.
 """
 from __future__ import annotations
@@ -75,35 +73,6 @@ def equation_matrix_add_at(kind: str, inst: fl.Instance) -> np.ndarray:
             np.add.at(A, (rows, plain), w)
             np.add.at(A, (rows, shifted), w)
     return A
-
-
-def jacobian(A: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Explicit Jacobian A - 2Q of the residual A f - 2 f(x) f(y) at each row
-    of F: shape (K, n^2, n), row x*n+y."""
-    n2, n = A.shape
-    rx = np.repeat(np.arange(n), n)
-    ry = np.tile(np.arange(n), n)
-    rows = np.arange(n2)
-    J = np.empty((F.shape[0], n2, n), dtype=np.complex128)
-    J[:] = A
-    J[:, rows, ry] += -2.0 * F[:, rx]
-    J[:, rows, rx] += -2.0 * F[:, ry]
-    return J
-
-
-def gauss_newton_step_real_embedding(A: np.ndarray, F: np.ndarray, rc: np.ndarray) -> np.ndarray:
-    """Minimum-norm Gauss-Newton step at each row of F with residual rc, by
-    the pseudoinverse of the real 2n^2 x 2n embedding of the Jacobian."""
-    J = jacobian(A, F)
-    n2, n = A.shape
-    Jr = np.empty((F.shape[0], 2 * n2, 2 * n))
-    Jr[:, :n2, :n] = J.real
-    Jr[:, :n2, n:] = -J.imag
-    Jr[:, n2:, :n] = J.imag
-    Jr[:, n2:, n:] = J.real
-    rr = np.concatenate([rc.real, rc.imag], axis=1)
-    step = -np.matmul(np.linalg.pinv(Jr), rr[:, :, None])[:, :, 0]
-    return step[:, :n] + 1j * step[:, n:]
 
 
 def van_vleck_family_dirac(

@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines on the terminal.  Completeness criteria are phrased oracle-side: the
-oracle finds no solution outside the constructed family (random restarts
-cannot prove exhaustiveness the other way around).
+oracle finds no solution outside the constructed family.  The converse
+rests on the oracle's certificate (see feqlab/algebra.py), which these
+criteria do not rely on.
 """
 from __future__ import annotations
 

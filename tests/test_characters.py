@@ -1,6 +1,7 @@
 """Multiplicative-function enumeration against independent brute force."""
 from __future__ import annotations
 
+import time
 from itertools import product
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import feqlab as fl
 from feqlab.characters import canonical_key, max_abs_diff
 
-from conftest import corpus_semigroups, involutions_for
+from conftest import corpus_semigroups, involutions_for, nilpotent_monoid
 
 
 def brute_multiplicative(sg, tol=1e-12):
@@ -78,6 +79,12 @@ class TestEnumerate:
         got = fl.enumerate_multiplicative(sg)
         assert same_function_sets(got, expected)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_nilpotent_monoid_brute_force(self, k):
+        # (1, 0, ..., 0) is a multiple root of the multiplicativity system
+        sg = nilpotent_monoid(k)
+        assert same_function_sets(fl.enumerate_multiplicative(sg), brute_multiplicative(sg))
+
     def test_left_zero_brute_force(self):
         sg = fl.left_zero(2)
         expected = brute_multiplicative(sg)
@@ -100,6 +107,26 @@ class TestEnumerate:
     def test_abelian_group_character_count(self, name, count):
         sg = corpus_semigroups()[name]
         assert len(fl.enumerate_multiplicative(sg)) == count
+
+    def test_larger_abelian_groups_any_labelling(self):
+        # an abelian group of order n has exactly n characters, however its
+        # elements are labelled; the four together take well under a second
+        rng = np.random.default_rng(30)
+        z30 = fl.cyclic_group(30).cayley
+        p = rng.permutation(30)
+        relabelled = np.empty_like(z30)
+        relabelled[np.ix_(p, p)] = p[z30]
+        groups = [
+            fl.cyclic_group(14),
+            fl.cyclic_group(16),
+            fl.direct_product(fl.cyclic_group(2), fl.cyclic_group(8)),
+            fl.validate_semigroup(relabelled),
+        ]
+        start = time.perf_counter()
+        counts = [len(fl.enumerate_multiplicative(sg)) for sg in groups]
+        elapsed = time.perf_counter() - start
+        assert counts == [14, 16, 16, 30]
+        assert elapsed < 1.0
 
     def test_s3_characters_are_trivial_and_sign(self):
         from itertools import permutations

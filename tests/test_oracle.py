@@ -1,5 +1,8 @@
-"""The random-restart solver: completeness fixtures, determinism, matching."""
+"""The numeric oracle: completeness fixtures, determinism, matching."""
 from __future__ import annotations
+
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,11 +10,8 @@ import pytest
 import feqlab as fl
 from feqlab.characters import max_abs_diff
 
-from scalar_reference import (
-    equation_matrix_add_at,
-    gauss_newton_step_real_embedding,
-    jacobian,
-)
+from conftest import nilpotent_monoid
+from scalar_reference import equation_matrix_add_at
 
 Z4 = fl.cyclic_group(4)
 NEG = fl.inverse_involution(Z4)
@@ -24,9 +24,8 @@ def make_inst(sg, tau, atoms):
     return fl.Instance(sg=sg, tau=tau, mu=fl.central_measure(sg, atoms))
 
 
-def group_inst(factors, atoms):
-    sg = fl.direct_product(*(fl.cyclic_group(m) for m in factors))
-    return make_inst(sg, fl.inverse_involution(sg), atoms)
+def abelian(*factors):
+    return reduce(fl.direct_product, (fl.cyclic_group(m) for m in factors))
 
 
 def assert_bit_identical(a, b):
@@ -54,8 +53,6 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             fl.OracleConfig(restarts=0)
-        with pytest.raises(ValueError):
-            fl.OracleConfig(start_radius=-1.0)
         with pytest.raises(ValueError):
             fl.OracleConfig(dedup_eps=1e-13, converge_tol=1e-12)
 
@@ -164,40 +161,6 @@ class TestDeterminism:
         monkeypatch.delenv("FEQLAB_THREADS")
         assert fl.oracle.thread_count() >= 1
 
-    def test_thread_counts_agree_with_one_restart_per_chunk(self, monkeypatch):
-        inst = group_inst((2, 6), [(0, 1.0), (3, 2.0)])
-        reports = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("FEQLAB_THREADS", threads)
-            reports[threads] = fl.oracle_solve(
-                "kannappan", inst, fl.OracleConfig(restarts=4)
-            )
-        assert_bit_identical(reports["1"], reports["4"])
-
-    def test_chunk_of_one_matches_batch(self):
-        # a restart must end in the same bits whether it runs alone or in a
-        # batch, or the split of restarts across threads shows in the output
-        cfg = fl.OracleConfig(restarts=40)
-        for kind, inst in [
-            ("kannappan", group_inst((2, 6), [(0, 1.0), (3, 2.0)])),
-            ("dalembert", group_inst((4, 4), [(0, 1 + 1j), (1, 2.0)])),
-        ]:
-            A = fl.oracle.equation_matrix(kind, inst)
-            radius = fl.oracle._sampling_radius(kind, inst, cfg)
-            starts = np.stack(
-                [
-                    fl.oracle._start_point(0, k, inst.sg.order, radius)
-                    for k in range(cfg.restarts)
-                ]
-            )
-            batched = fl.oracle._gauss_newton_chunk(A, starts, radius, cfg)
-            for k, outcome in enumerate(batched):
-                alone = fl.oracle._gauss_newton_chunk(A, starts[k : k + 1], radius, cfg)[0]
-                assert (outcome is None) == (alone is None), (kind, k)
-                if outcome is not None:
-                    assert np.array_equal(outcome[0], alone[0]), (kind, k)
-                    assert outcome[1] == alone[1], (kind, k)
-
     @pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
     def test_thread_count_rejects_bad_env(self, monkeypatch, raw):
         monkeypatch.setenv("FEQLAB_THREADS", raw)
@@ -224,8 +187,8 @@ class TestStability:
         assert fl.match_solution_sets(base, double, eps=1e-6).is_match
 
     def test_doubling_restarts_weighted_measure(self):
-        # heavier measures push solution norms past the configured start
-        # radius floor; the scaled sampling disc must keep the set stable
+        # heavier measures give solutions of norm above 1; the system scaled
+        # by max(1, ||mu||) must keep the set stable
         inst = make_inst(Z4, NEG, [(0, 1 + 1j), (1, 2.0)])
         base = fl.oracle_solve("kannappan", inst, fl.OracleConfig(restarts=400))
         double = fl.oracle_solve("kannappan", inst, fl.OracleConfig(restarts=800))
@@ -243,42 +206,63 @@ class TestEquationMatrix:
             assert np.array_equal(got, equation_matrix_add_at(kind, case.inst)), case.name
 
 
-class TestGaussNewtonStep:
-    # seeded random points in each instance's sampling disc, where the
-    # Jacobian is generically of full rank
-    @pytest.mark.parametrize("kind", fl.KINDS)
-    def test_closed_form_matches_explicit_jacobian_on_grid(self, grid, kind):
-        rng = np.random.default_rng(4)
-        cfg = fl.OracleConfig()
-        for case in grid:
-            inst = case.inst
-            n = inst.sg.order
-            radius = fl.oracle._sampling_radius(kind, inst, cfg)
-            F = radius * np.sqrt(rng.uniform(size=(4, n))) * np.exp(
-                2j * np.pi * rng.uniform(size=(4, n))
-            )
-            linear = fl.linear_part(kind, F, inst.sg, inst.tau, inst.mu)
-            rc = (linear - 2.0 * F[:, :, None] * F[:, None, :]).reshape(4, n * n)
-            A = fl.oracle.equation_matrix(kind, inst)
-            AhA = A.conj().T @ A
-            J = jacobian(A, F)
-            gram, _ = fl.oracle._normal_equations(A, AhA, F, rc)
-            step = fl.oracle._gauss_newton_step(A, AhA, F, rc)
-            ref = gauss_newton_step_real_embedding(A, F, rc)
-            for k in range(4):
-                j2 = np.linalg.norm(J[k], 2)
-                explicit = J[k].conj().T @ J[k]
-                assert np.linalg.norm(gram[k] - explicit, 2) <= 1e-12 * (1 + j2**2), case.name
-                assert np.linalg.norm(step[k] - ref[k]) <= 1e-10 * (
-                    1 + np.linalg.norm(ref[k])
-                ), case.name
-
-
 class TestConvergenceBudget:
     def test_starved_solver_warns(self, z4_d1):
-        cfg = fl.OracleConfig(restarts=20, max_iters=1)
+        cfg = fl.OracleConfig(restarts=20, converge_tol=1e-300)
         with pytest.warns(fl.NoConvergenceBudget):
             fl.oracle_solve("van_vleck", z4_d1, cfg)
+
+
+def nilpotent_cases():
+    for k in (2, 3):
+        sg = nilpotent_monoid(k)
+        tau = fl.identity_involution(sg)
+        menus = [[(z, 1.0)] for z in range(k + 1)] + [[(0, 1 + 1j), (1, 2.0)]]
+        for atoms in menus:
+            yield f"a^{k}=0 {atoms}", make_inst(sg, tau, atoms)
+
+
+def ladder_cases():
+    """The instances of the ladder-oracle benchmark and the kinds it asks
+    for, built with library calls."""
+    s3z2 = fl.direct_product(fl.symmetric_group_3(), fl.cyclic_group(2))
+    rows = [
+        (abelian(8), [(2, 1.0)], ("van_vleck", "kannappan")),
+        (abelian(3, 3), [(0, 1.0)], ("kannappan", "dalembert")),
+        (s3z2, [(0, 1.0)], ("kannappan", "dalembert")),
+        (abelian(2, 6), [(0, 1.0), (3, 2.0)], ("kannappan", "dalembert")),
+        (abelian(13), [(1, 1.0)], ("kannappan", "dalembert")),
+        (abelian(2, 2, 2, 2), [(0, 1.0)], ("kannappan", "dalembert")),
+        (abelian(4, 4), [(4, 1.0)], ("kannappan",)),
+        (abelian(4, 4), [(0, 1 + 1j), (1, 2.0)], ("dalembert",)),
+    ]
+    for sg, atoms, kinds in rows:
+        inst = make_inst(sg, fl.inverse_involution(sg), atoms)
+        for kind in kinds:
+            yield f"order {sg.order} {atoms} {kind}", kind, inst
+
+
+class TestBeyondTheGrid:
+    @pytest.mark.parametrize("kind", fl.KINDS)
+    def test_nilpotent_monoids_match_construction(self, kind):
+        # (1, 0, ...) is a multiple root of the multiplicativity system, and
+        # the equations have multiple roots of their own: each must come out
+        # as one certified root
+        for name, inst in nilpotent_cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", fl.NoConvergenceBudget)
+                found = fl.oracle_solve(kind, inst)
+            constructed = fl.family(kind, inst)
+            assert fl.match_solution_sets(constructed, found, eps=1e-6).is_match, name
+
+    def test_ladder_members_all_found(self):
+        total = 0
+        for name, kind, inst in ladder_cases():
+            found = fl.oracle_solve(kind, inst)
+            constructed = fl.family(kind, inst)
+            assert fl.match_solution_sets(constructed, found, eps=1e-6).is_match, name
+            total += len(constructed)
+        assert total == 95
 
 
 class TestGridCompleteness:
