@@ -51,12 +51,13 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def dedup_canonical(funcs, eps: float = 1e-8) -> list[np.ndarray]:
-    """Drop near-duplicates (max-abs distance <= eps), keeping for each
-    cluster the canonically smallest representative."""
+def dedup_canonical(funcs, eps: float) -> list[np.ndarray]:
+    """Canonically sorted, without near-zero functions and near-duplicates
+    (max-abs distance <= eps), keeping for each cluster the canonically
+    smallest representative."""
     out: list[np.ndarray] = []
     for f in sorted(funcs, key=canonical_key):
-        if all(max_abs_diff(f, kept) > eps for kept in out):
+        if max_abs(f) > eps and all(max_abs_diff(f, kept) > eps for kept in out):
             out.append(f)
     return out
 

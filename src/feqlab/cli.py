@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from .equations import Instance
+from .equations import SOLUTION_DEGREE, Instance
 from .errors import InvariantViolation
 from .families import Solution, character_integrals, family
 from .measures import central_measure, is_tau_invariant
-from .oracle import OracleConfig, match_solution_sets, oracle_solve
+from .oracle import MATCH_EPS, OracleConfig, match_solution_sets, oracle_solve
 from .semigroups import center, orbit, validate_involution, validate_semigroup
 from .verify import verify_instance
 
@@ -25,9 +25,10 @@ EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
 EXIT_THEOREM = 4
 
-MATCH_EPS = 1e-6
 # The identity suites compare terms of degree 3 in mu, with tolerances scaled
-# by (sum_i |w_i|)^3, so float64 overflows near a total variation of 1e100.
+# by (sum_i |w_i|)^3, so float64 overflows near a total variation of 1e100
+# and the tolerances underflow near 1e-100.
+MIN_TOTAL_VARIATION = 1e-50
 MAX_TOTAL_VARIATION = 1e50
 
 _KIND_BY_COMMAND = {
@@ -144,9 +145,9 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
     mu = central_measure(sg, atoms)
     total = mu.total_variation
     _require(
-        total <= MAX_TOTAL_VARIATION,
-        f"measure total variation must be finite and at most "
-        f"{MAX_TOTAL_VARIATION}, got {total}",
+        MIN_TOTAL_VARIATION <= total <= MAX_TOTAL_VARIATION,
+        f"measure total variation must be in [{MIN_TOTAL_VARIATION}, "
+        f"{MAX_TOTAL_VARIATION}], got {total}",
     )
     return Instance(sg=sg, tau=tau, mu=mu), labels
 
@@ -204,7 +205,8 @@ def cmd_solve(args) -> int:
     if args.oracle:
         cfg = OracleConfig(rng_seed=args.seed)
         found = oracle_solve(kind, inst, cfg)
-        result = match_solution_sets(constructed, found, eps=MATCH_EPS)
+        eps = inst.mu.tolerance(MATCH_EPS, SOLUTION_DEGREE[kind])
+        result = match_solution_sets(constructed, found, eps)
         out["oracle"] = {
             "restarts": cfg.restarts,
             "seed": cfg.rng_seed,

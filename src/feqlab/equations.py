@@ -15,7 +15,11 @@ from .measures import CentralMeasure, right_integral_table
 from .semigroups import FiniteSemigroup, Involution, center, validate_involution
 
 ABELIAN_TOL = 1e-12
-KINDS = ("van_vleck", "kannappan", "dalembert")
+# degree in mu of each equation's solutions: f solves the Van Vleck or
+# Kannappan equation for mu exactly when lam f solves it for lam mu, and
+# d'Alembert's equation ignores mu
+SOLUTION_DEGREE = {"van_vleck": 1, "kannappan": 1, "dalembert": 0}
+KINDS = tuple(SOLUTION_DEGREE)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,11 +25,13 @@ from .characters import (
     enumerate_multiplicative,
     max_abs,
 )
-from .equations import KINDS, Instance, is_abelian_function, residual
+from .equations import KINDS, SOLUTION_DEGREE, Instance, is_abelian_function, residual
 from .errors import EquivalenceViolation, ZeroDenominator
 from .measures import CentralMeasure, right_integral_table, total_mass_integral
 from .semigroups import FiniteSemigroup, Involution
 
+# Tolerances at ||mu|| = 1; a quantity of degree d in mu is compared with
+# mu.tolerance(TOL, d)
 ADMISSIBLE_TOL = 1e-9   # admissibility and membership predicates
 RESIDUAL_TOL = 1e-10    # residual assertions on constructed members
 DEDUP_EPS = 1e-8        # max-abs distance below which two functions coincide
@@ -37,21 +39,21 @@ DEDUP_EPS = 1e-8        # max-abs distance below which two functions coincide
 
 @dataclass(frozen=True, eq=False)
 class CharacterIntegrals:
-    """A multiplicative function with its two measure integrals.  Both are
-    of degree 1 in mu, so the admissibility tests compare them with
-    tol * scale, scale = max(1, ||mu||)."""
+    """A multiplicative function with its two integrals against mu.  Both
+    are of degree 1 in mu, so the admissibility tests compare them with
+    mu.tolerance(tol, 1)."""
 
     chi: np.ndarray
     int_mu: complex       # int chi dmu
     int_mu_tau: complex   # int chi o tau dmu
-    scale: float = 1.0
+    mu: CentralMeasure
 
     def van_vleck_admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
-        tol *= self.scale
+        tol = self.mu.tolerance(tol, 1)
         return abs(self.int_mu) > tol and abs(self.int_mu_tau + self.int_mu) < tol
 
     def kannappan_admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
-        tol *= self.scale
+        tol = self.mu.tolerance(tol, 1)
         return abs(self.int_mu) > tol and abs(self.int_mu_tau - self.int_mu) < tol
 
 
@@ -86,18 +88,14 @@ def character_integrals(inst: Instance, chars=None) -> list[CharacterIntegrals]:
                 chi=chi,
                 int_mu=total_mass_integral(chi, inst.mu),
                 int_mu_tau=total_mass_integral(compose_tau(chi, inst.tau), inst.mu),
-                scale=inst.mu.scale,
+                mu=inst.mu,
             )
         )
     return out
 
 
 def family(
-    kind: str,
-    inst: Instance,
-    chars=None,
-    tol: float = ADMISSIBLE_TOL,
-    dedup_eps: float = DEDUP_EPS,
+    kind: str, inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL
 ) -> SolutionReport:
     """Constructed solutions of one equation, one candidate per multiplicative
     function chi (see the module docstring).  van_vleck: all nonzero solutions
@@ -105,6 +103,7 @@ def family(
     solutions; dalembert: the abelian solutions (mu is ignored)."""
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
+    eps = inst.mu.tolerance(DEDUP_EPS, SOLUTION_DEGREE[kind])
     funcs = []
     for ci in character_integrals(inst, chars):
         chi_tau = compose_tau(ci.chi, inst.tau)
@@ -118,37 +117,32 @@ def family(
             f = 0.5 * (ci.chi + chi_tau) * ci.int_mu
         else:
             f = 0.5 * (ci.chi + chi_tau)
-        if max_abs(f) > dedup_eps:
-            funcs.append(f)
+        funcs.append(f)
     sols = tuple(
         Solution(values=f, residual=residual(kind, f, inst).max_abs, provenance="constructed")
-        for f in dedup_canonical(funcs, eps=dedup_eps)
+        for f in dedup_canonical(funcs, eps)
     )
     return SolutionReport(equation=kind, solutions=sols)
 
 
-def van_vleck_family(
-    inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL, dedup_eps: float = DEDUP_EPS
-) -> SolutionReport:
+def van_vleck_family(inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL) -> SolutionReport:
     """All nonzero solutions of the sine-type equation."""
-    return family("van_vleck", inst, chars, tol, dedup_eps)
+    return family("van_vleck", inst, chars, tol)
 
 
 def kannappan_abelian_family(
-    inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL, dedup_eps: float = DEDUP_EPS
+    inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL
 ) -> SolutionReport:
     """All nonzero abelian solutions of the cosine-type equation."""
-    return family("kannappan", inst, chars, tol, dedup_eps)
+    return family("kannappan", inst, chars, tol)
 
 
-def dalembert_abelian_family(
-    sg: FiniteSemigroup, tau: Involution, chars=None, dedup_eps: float = DEDUP_EPS
-) -> list[np.ndarray]:
+def dalembert_abelian_family(sg: FiniteSemigroup, tau: Involution, chars=None) -> list[np.ndarray]:
     """Even parts g = (chi + chi o tau)/2 of the multiplicative functions, as
     a bare list.  The equation has no measure; they are built on the zero one."""
     no_mu = CentralMeasure(points=np.zeros(0, np.int64), weights=np.zeros(0, complex))
     inst = Instance(sg=sg, tau=tau, mu=no_mu)
-    return family("dalembert", inst, chars, dedup_eps=dedup_eps).values()
+    return family("dalembert", inst, chars).values()
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +175,15 @@ def dalembert_to_kannappan(g, inst: Instance) -> np.ndarray:
     return total_mass_integral(g, inst.mu) * np.asarray(g)
 
 
-def kannappan_to_dalembert(
-    f, inst: Instance, tol: float = ADMISSIBLE_TOL
-) -> np.ndarray:
+def kannappan_to_dalembert(f, inst: Instance) -> np.ndarray:
     """Inverse map: f -> (x -> int f(x t) dmu / int f dmu).
 
     A vanishing denominator means f was not a nonzero Kannappan solution in
     the first place, so it is reported as an error rather than patched over.
-    The mass has degree 2 in mu (f has degree 1): the floor is tol * scale^2.
+    The mass has degree 2 in mu (f has degree 1).
     """
     mass = total_mass_integral(f, inst.mu)
-    if abs(mass) <= tol * inst.mu.scale**2:
+    if abs(mass) <= inst.mu.tolerance(ADMISSIBLE_TOL, 2):
         raise ZeroDenominator(f"int f dmu = {mass}, cannot invert")
     return right_integral_table(inst.sg, np.asarray(f), inst.mu) / mass
 
@@ -221,14 +213,12 @@ class DalembertConditions:
         return self.tau_shift and self.proportionality and self.double_mass
 
 
-def dalembert_integral_conditions(
-    g, inst: Instance, tol: float = ADMISSIBLE_TOL
-) -> DalembertConditions:
-    """The three conditions, each deviation compared with tol * scale^d for
-    its degree d in mu (1 for the two shift tables, 2 for the double mass;
-    g itself has degree 0)."""
+def dalembert_integral_conditions(g, inst: Instance) -> DalembertConditions:
+    """The three conditions, each deviation compared with
+    mu.tolerance(ADMISSIBLE_TOL, d) for its degree d in mu (1 for the two
+    shift tables, 2 for the double mass; g itself has degree 0)."""
     ga = np.asarray(g)
-    scale = inst.mu.scale
+    tol = [inst.mu.tolerance(ADMISSIBLE_TOL, d) for d in (1, 2)]
     plain, tilted = _leads(inst)
     r = right_integral_table(inst.sg, ga, inst.mu)
     r_tau = _shifted_sums(ga, inst, tilted)
@@ -238,27 +228,27 @@ def dalembert_integral_conditions(
     d_prop = float(np.max(np.abs(r - ga * mass)))
     d_mass = abs(dd - mass * mass)
     return DalembertConditions(
-        tau_shift=d_shift <= tol * scale,
-        proportionality=d_prop <= tol * scale,
-        double_mass=d_mass <= tol * scale**2,
+        tau_shift=d_shift <= tol[0],
+        proportionality=d_prop <= tol[0],
+        double_mass=d_mass <= tol[1],
         deviations=(d_shift, d_prop, d_mass),
         mass=mass,
     )
 
 
-def dalembert_admissible(g, inst: Instance, tol: float = ADMISSIBLE_TOL) -> bool:
+def dalembert_admissible(g, inst: Instance) -> bool:
     """Membership test for the admissible pool the bijection starts from:
     nonvanishing measure integral plus the three integral conditions.
 
     Raises EquivalenceViolation when the three conditions disagree, which for
     a genuine d'Alembert solution cannot happen.
     """
-    conds = dalembert_integral_conditions(g, inst, tol)
+    conds = dalembert_integral_conditions(g, inst)
     if not conds.consistent:
         raise EquivalenceViolation(
             conds.tau_shift, conds.proportionality, conds.double_mass
         )
-    return abs(conds.mass) > tol * inst.mu.scale and conds.all_hold
+    return abs(conds.mass) > inst.mu.tolerance(ADMISSIBLE_TOL, 1) and conds.all_hold
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +260,7 @@ def _worst_over_x(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
 
 # degree in mu of the terms each identity compares (f itself has degree 1):
-# a tolerance on the identity scales with the measure's size to this power
+# the identity is checked against mu.tolerance(RESIDUAL_TOL, degree)
 MU_DEGREE = {
     "odd_part": 1,
     "even_part": 1,
@@ -285,47 +275,45 @@ MU_DEGREE = {
 @dataclass(frozen=True)
 class SuiteReport:
     """Residuals of the identities a solution must satisfy, where each
-    identity attains its worst deviation, and the measure integral of the
-    solution itself (which must be nonzero when required)."""
+    identity attains its worst deviation, the measure integral of the
+    solution itself (which must be nonzero when required), and the measure
+    the thresholds are taken from."""
 
     residuals: Mapping[str, float]
     argmax: Mapping[str, tuple[int, ...]]
     mass: complex
     mass_required: bool
+    mu: CentralMeasure
 
     @classmethod
-    def of(cls, checks, mass: complex, mass_required: bool) -> "SuiteReport":
+    def of(cls, checks, mass: complex, mass_required: bool, mu: CentralMeasure) -> "SuiteReport":
         """From one dict of (residual, argmax) pairs by identity name."""
         return cls(
             residuals={name: dev for name, (dev, _) in checks.items()},
             argmax={name: at for name, (_, at) in checks.items()},
             mass=mass,
             mass_required=mass_required,
+            mu=mu,
         )
 
     def worst(self) -> float:
         return max(self.residuals.values())
 
-    def failures(
-        self,
-        tol: float = RESIDUAL_TOL,
-        mass_tol: float = ADMISSIBLE_TOL,
-        mu_scale: float = 1.0,
-    ) -> list[str]:
-        """Identities off by more than tol * mu_scale ** MU_DEGREE[name]."""
+    def failures(self) -> list[str]:
+        """Identities off by more than mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name]),
+        and nonzero_mass for a required mass (degree 2) within
+        mu.tolerance(ADMISSIBLE_TOL, 2) of zero."""
         bad = [
             name
             for name, dev in self.residuals.items()
-            if dev > tol * mu_scale ** MU_DEGREE[name]
+            if dev > self.mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name])
         ]
-        if self.mass_required and abs(self.mass) <= mass_tol:
+        if self.mass_required and abs(self.mass) <= self.mu.tolerance(ADMISSIBLE_TOL, 2):
             bad.append("nonzero_mass")
         return bad
 
-    def passed(
-        self, tol: float = RESIDUAL_TOL, mass_tol: float = ADMISSIBLE_TOL
-    ) -> bool:
-        return not self.failures(tol, mass_tol)
+    def passed(self) -> bool:
+        return not self.failures()
 
 
 def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:
@@ -356,7 +344,7 @@ def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:
         ),
         "shift_symmetry": _worst_over_x(np.abs(r[tau.perm] - r)),
     }
-    return SuiteReport.of(checks, mass, mass_required=True)
+    return SuiteReport.of(checks, mass, mass_required=True, mu=mu)
 
 
 def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
@@ -381,7 +369,8 @@ def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
             np.abs(_shifted_sums(r, inst, plain) - fa * mass)
         ),
     }
-    return SuiteReport.of(checks, mass, mass_required=max_abs(fa) > DEDUP_EPS)
+    required = max_abs(fa) > mu.tolerance(DEDUP_EPS, 1)
+    return SuiteReport.of(checks, mass, mass_required=required, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -392,12 +381,10 @@ class TransformReport:
     double_mass: complex  # int int g(t s) dmu dmu, nonzero
 
 
-def associated_dalembert(
-    f, inst: Instance, tol: float = ADMISSIBLE_TOL
-) -> tuple[np.ndarray, TransformReport]:
+def associated_dalembert(f, inst: Instance) -> tuple[np.ndarray, TransformReport]:
     """The d'Alembert solution g(x) = int f(x t) dmu / int f dmu attached to a
     nonzero sine-type solution f, with its side conditions evaluated."""
-    g = kannappan_to_dalembert(f, inst, tol)
+    g = kannappan_to_dalembert(f, inst)
     report = TransformReport(
         dalembert_residual=residual("dalembert", g, inst).max_abs,
         abelian=is_abelian_function(g, inst.sg),

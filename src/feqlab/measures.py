@@ -33,11 +33,16 @@ class CentralMeasure:
         """||mu|| = sum_i |w_i|; inf if the sum overflows."""
         return sum((math.hypot(w.real, w.imag) for w in self.weights), 0.0)
 
-    @property
-    def scale(self) -> float:
-        """max(1, ||mu||): a quantity of degree d in mu is compared with a
-        tolerance times scale**d."""
-        return max(1.0, self.total_variation)
+    def tolerance(self, base, degree: int):
+        """base * ||mu||**degree: the tolerance on a quantity of degree
+        `degree` in mu, base being its value at ||mu|| = 1.
+
+        Both integral equations are homogeneous in (f, mu): f solves one for
+        mu exactly when lam f solves it for lam mu.  Every tolerance on a
+        quantity that depends on mu goes through here, so no answer depends
+        on the size of mu.
+        """
+        return base * self.total_variation**degree
 
 
 def central_measure(sg: FiniteSemigroup, atoms) -> CentralMeasure:
@@ -95,14 +100,12 @@ def pushforward_tau(
     return central_measure(sg, [(tau(int(z)), w) for z, w in mu.atoms()])
 
 
-def is_tau_invariant(
-    sg: FiniteSemigroup, mu: CentralMeasure, tau: Involution, tol: float = 1e-12
-) -> bool:
-    """Whether the pushforward under tau has the same merged atom set.
+def is_tau_invariant(sg: FiniteSemigroup, mu: CentralMeasure, tau: Involution) -> bool:
+    """Whether the pushforward under tau equals mu.  tau is a bijection, so
+    the pushforward only permutes the distinct atoms and keeps their weights
+    as the same floats: the comparison is exact.
 
     Diagnostic only; none of the solution-family constructions require it.
     """
     pf = pushforward_tau(sg, mu, tau)
-    if not np.array_equal(pf.points, mu.points):
-        return False
-    return bool(np.max(np.abs(pf.weights - mu.weights)) <= tol)
+    return np.array_equal(pf.points, mu.points) and np.array_equal(pf.weights, mu.weights)

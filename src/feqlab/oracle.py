@@ -8,10 +8,15 @@ random combination; a certificate says whether that eig found every root
 (see algebra.closed_system_roots), and only a failed certificate draws a
 fresh combination.
 
-The system is solved as A / s with s = max(1, ||mu||) (s = 1 for
-d'Alembert, which ignores mu), whose roots f / s have modulus at most 1, so
-the residual check is relative to the size of the measure.  The result is a
-function of the seed alone: no threads, bit-identical across reruns.
+The system is solved as A / s with s = ||mu|| for the two integral
+equations (s = 1 for d'Alembert, which ignores mu): its roots f / s have
+modulus at most 1, and scaling mu by lam changes them only by the phase
+lam / |lam|, so the residual check at CONVERGE_TOL is relative to the size of
+the measure.  The roots are then
+deduplicated as the construction's are, at MATCH_EPS relative to the size of
+the solutions, which is also the distance at which the CLI matches the two
+sets.  The result is a function of the seed alone: no threads, bit-identical
+across reruns.
 """
 from __future__ import annotations
 
@@ -22,10 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import closed_system_roots
-from .characters import canonical_key, max_abs, max_abs_diff
-from .equations import Instance, linear_part
+from .characters import dedup_canonical, max_abs_diff
+from .equations import SOLUTION_DEGREE, Instance, linear_part
 from .errors import InvalidEnvironment
 from .families import Solution, SolutionReport
+
+
+CONVERGE_TOL = 1e-12  # residual check on the system scaled to ||mu|| = 1
+MATCH_EPS = 1e-6      # max-abs distance, at ||mu|| = 1, at which solutions coincide
 
 
 class NoConvergenceBudget(RuntimeWarning):
@@ -34,18 +43,12 @@ class NoConvergenceBudget(RuntimeWarning):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    restarts: int = 400          # at most this many combinations are drawn
-    converge_tol: float = 1e-12  # residual check on the scaled system
-    dedup_eps: float = 1e-6
+    restarts: int = 400  # at most this many combinations are drawn
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if min(self.converge_tol, self.dedup_eps) <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.dedup_eps <= self.converge_tol:
-            raise ValueError("dedup_eps must exceed converge_tol")
 
 
 def thread_count() -> int:
@@ -78,45 +81,34 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
     """All nonzero solutions of the chosen equation, certified unless a
     NoConvergenceBudget warning says otherwise.
 
-    The measure is ignored for kind "dalembert".  Roots are deduplicated by
-    greedy clustering at dedup_eps (cluster representative: smallest
-    residual, earliest found on ties), the zero solution is dropped, and the
-    rest is canonically sorted.
+    The measure is ignored for kind "dalembert".  As in the construction,
+    the zero solution and near-duplicates are dropped (dedup_canonical at
+    MATCH_EPS, scaled like the solutions) and the rest is canonically
+    sorted; each keeps the residual the solver computed for it.
     """
     if cfg is None:
         cfg = OracleConfig()
     A = equation_matrix(kind, inst)
-    s = 1.0 if kind == "dalembert" else inst.mu.scale
-    roots, res, certified = closed_system_roots(
-        A / s, cfg.converge_tol, cfg.rng_seed, cfg.restarts
-    )
+    degree = SOLUTION_DEGREE[kind]
+    s = inst.mu.tolerance(1.0, degree)
+    roots, res, certified = closed_system_roots(A / s, CONVERGE_TOL, cfg.rng_seed, cfg.restarts)
     if not certified:
         warnings.warn(
             NoConvergenceBudget(
                 f"no combination of {cfg.restarts} certified the roots of {kind}"
             )
         )
-
-    clusters: list[dict] = []
-    for f, r in zip(roots * s, res * (s * s)):
-        for c in clusters:
-            if max_abs_diff(f, c["anchor"]) <= cfg.dedup_eps:
-                if r < c["res"]:
-                    c["f"], c["res"] = f, r
-                break
-        else:
-            clusters.append({"anchor": f, "f": f, "res": r})
-
-    finals = [
-        (c["f"], float(c["res"])) for c in clusters if max_abs(c["f"]) > cfg.dedup_eps
-    ]
-    finals.sort(key=lambda fr: canonical_key(fr[0]))
-    for f, _ in finals:
+    roots *= s
+    res = inst.mu.tolerance(res, 2 * degree)  # the residual of A has twice f's degree
+    residual_of = {f.tobytes(): float(r) for f, r in zip(roots, res)}
+    finals = dedup_canonical(roots, inst.mu.tolerance(MATCH_EPS, degree))
+    for f in finals:
         f.setflags(write=False)
     return SolutionReport(
         equation=kind,
         solutions=tuple(
-            Solution(values=f, residual=res, provenance="oracle") for f, res in finals
+            Solution(values=f, residual=residual_of[f.tobytes()], provenance="oracle")
+            for f in finals
         ),
     )
 
@@ -134,7 +126,7 @@ class MatchResult:
         return not self.unmatched_left and not self.unmatched_right
 
 
-def match_solution_sets(a, b, eps: float = 1e-6) -> MatchResult:
+def match_solution_sets(a, b, eps: float = MATCH_EPS) -> MatchResult:
     """Match members of a against members of b at max-abs distance <= eps."""
     left = a.values() if isinstance(a, SolutionReport) else list(a)
     right = b.values() if isinstance(b, SolutionReport) else list(b)

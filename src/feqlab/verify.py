@@ -7,17 +7,18 @@ back; each d'Alembert solution must solve the d'Alembert equation, and its
 three integral conditions must agree.  Each check that fails is recorded,
 none raises.
 
-Residual tolerances are RESIDUAL_TOL * max(1, ||mu||)**d, with ||mu|| the
-total variation and d the degree in mu of the terms compared (a solution f
-has degree 1, the d'Alembert g = int f(x t) dmu / int f dmu degree 0), so a
-heavy measure does not turn rounding into a reported failure.
+Residual tolerances are mu.tolerance(RESIDUAL_TOL, d) = RESIDUAL_TOL *
+||mu||**d, with ||mu|| the total variation and d the degree in mu of the
+terms compared (a solution f has degree 1, the d'Alembert
+g = int f(x t) dmu / int f dmu degree 0), so neither a heavy nor a light
+measure turns rounding into a reported failure or hides a real one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .characters import enumerate_multiplicative, max_abs_diff
-from .equations import Instance, residual
+from .equations import SOLUTION_DEGREE, Instance, residual
 from .errors import EquivalenceViolation, ZeroDenominator
 from .families import (
     ADMISSIBLE_TOL,
@@ -53,11 +54,10 @@ class VerifyReport:
 def verify_instance(
     inst: Instance, cfg: OracleConfig | None = None, tol: float = ADMISSIBLE_TOL
 ) -> VerifyReport:
-    """Run every check on inst; tol * max(1, ||mu||) is the mass a
+    """Run every check on inst; mu.tolerance(tol, 1) is the mass a
     d'Alembert solution needs to be mapped forward through the bijection."""
     chars = enumerate_multiplicative(inst.sg)
-    scale = inst.mu.scale
-    res_tol = [RESIDUAL_TOL * scale**d for d in range(3)]  # by degree in mu
+    mu = inst.mu
     failures: list[dict] = []
 
     def fail(identity, max_abs, provenance, index, argmax=()):
@@ -89,10 +89,10 @@ def verify_instance(
                     "solution_index": i,
                 }
             )
-            if eq_res.max_abs > res_tol[2]:
+            if eq_res.max_abs > mu.tolerance(RESIDUAL_TOL, 2 * SOLUTION_DEGREE[kind]):
                 fail(f"{kind}_equation", eq_res.max_abs, sol.provenance, i, eq_res.argmax)
                 continue
-            for name in suite.failures(mu_scale=scale):
+            for name in suite.failures():
                 dev, at = suite.residuals.get(name, 0.0), suite.argmax.get(name, ())
                 fail(name, dev, sol.provenance, i, at)
         return entries
@@ -117,7 +117,7 @@ def verify_instance(
             ok_member = False
         back = max_abs_diff(dalembert_to_kannappan(g, inst), sol.values)
         roundtrip_back = max(roundtrip_back, back)
-        if g_res.max_abs > res_tol[0] or not ok_member or back > res_tol[1]:
+        if g_res.max_abs > RESIDUAL_TOL or not ok_member or back > mu.tolerance(RESIDUAL_TOL, 1):
             fail("bijection_inverse", max(g_res.max_abs, back), sol.provenance, i, g_res.argmax)
 
     # integral-condition equivalence and forward round-trips on the
@@ -140,13 +140,13 @@ def verify_instance(
             }
         )
         g_res = residual("dalembert", g, inst)
-        if g_res.max_abs > res_tol[0]:
+        if g_res.max_abs > RESIDUAL_TOL:
             fail("dalembert_equation", g_res.max_abs, sol.provenance, i, g_res.argmax)
             continue
         if not conds.consistent:
             fail("integral_conditions_equivalence", max(conds.deviations), "dalembert", i)
             continue
-        if abs(conds.mass) > tol * scale and conds.all_hold:
+        if abs(conds.mass) > mu.tolerance(tol, 1) and conds.all_hold:
             f = dalembert_to_kannappan(g, inst)
             f_res = residual("kannappan", f, inst)
             try:
@@ -156,7 +156,7 @@ def verify_instance(
                 fail("nonzero_mass", 0.0, "dalembert", i)
                 continue
             roundtrip_fwd = max(roundtrip_fwd, back)
-            if f_res.max_abs > res_tol[2] or back > res_tol[0]:
+            if f_res.max_abs > mu.tolerance(RESIDUAL_TOL, 2) or back > RESIDUAL_TOL:
                 fail("bijection_forward", max(f_res.max_abs, back), "dalembert", i, f_res.argmax)
 
     return VerifyReport(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 import feqlab as fl
-from feqlab.characters import dedup_canonical, max_abs
+from feqlab.characters import dedup_canonical
 from feqlab.families import ADMISSIBLE_TOL, DEDUP_EPS
 
 
@@ -95,9 +95,7 @@ def van_vleck_family_dirac(
     for chi in chars:
         if abs(chi[z0]) <= tol or abs(chi[tz0] + chi[z0]) >= tol:
             continue
-        f = complex(chi[tz0]) * 0.5 * (chi - fl.compose_tau(chi, inst.tau))
-        if max_abs(f) > dedup_eps:
-            funcs.append(f)
+        funcs.append(complex(chi[tz0]) * 0.5 * (chi - fl.compose_tau(chi, inst.tau)))
     sols = tuple(
         fl.Solution(
             values=f,

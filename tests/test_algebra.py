@@ -6,6 +6,7 @@ import pytest
 
 import feqlab as fl
 from feqlab.algebra import closed_system_roots
+from feqlab.equations import SOLUTION_DEGREE
 
 from conftest import nilpotent_monoid
 
@@ -22,7 +23,7 @@ class TestCertificate:
     def test_first_draw_certifies_on_grid(self, grid, kind):
         for case in grid:
             A = fl.oracle.equation_matrix(kind, case.inst)
-            s = 1.0 if kind == "dalembert" else case.inst.mu.scale
+            s = case.inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
             roots, res, certified = closed_system_roots(A / s, 1e-12)
             assert certified, case.name
             assert np.all(res <= 1e-12), case.name

@@ -440,3 +440,20 @@ class TestHardening:
         path = self.zero_semigroup_spec(tmp_path, [(5e49, 0.0), (0.0, 5e49)])
         code, _ = run(capsys, "validate", path)
         assert code == 0
+
+    def test_measure_below_total_variation_floor_rejected(self, tmp_path, capsys):
+        path = write_spec(tmp_path, measure=[{"point": 1, "re": 1e-60, "im": 0.0}])
+        code, out = run(capsys, "validate", path)
+        assert code == 2
+        assert json.loads(out)["error"]["invariant"] == "spec format"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-theorems"]]
+        + [["solve", k, "--oracle"] for k in ("vanvleck", "kannappan", "dalembert")],
+        ids=lambda argv: argv[-1] if argv[0] == "verify-theorems" else argv[1],
+    )
+    def test_measure_at_total_variation_floor_accepted(self, tmp_path, capsys, argv):
+        path = write_spec(tmp_path, measure=[{"point": 1, "re": 1e-50, "im": 0.0}])
+        code, _ = run(capsys, argv[0], *argv[1:2], path, *argv[2:])
+        assert code == 0

@@ -332,13 +332,16 @@ class TestVanVleckSuite:
         "name, degree", [("odd_part", 1), ("shift_symmetry", 2), ("sandwich_tau", 3)]
     )
     def test_tolerance_scales_with_mu_degree(self, name, degree):
-        # each identity may deviate by tol * mu_scale ** (its degree in mu)
+        # each identity may deviate by 1e-10 * ||mu|| ** (its degree in mu)
+        mu = fl.central_measure(Z4, [(0, 10.0)])
+
         def failures(dev):
-            suite = SuiteReport.of({name: (dev, (0,))}, mass=1.0, mass_required=True)
-            return suite.failures(tol=1e-10, mu_scale=10.0)
+            suite = SuiteReport.of({name: (dev, (0,))}, mass=1.0, mass_required=True, mu=mu)
+            return suite.failures()
 
         assert failures(0.9e-10 * 10.0**degree) == []
         assert failures(1.1e-10 * 10.0**degree) == [name]
+
 
 
 class TestKannappanSuite:

@@ -118,6 +118,15 @@ class TestPushforward:
         assert pf.atoms() == [(3, 1 + 0j)]
         assert not fl.is_tau_invariant(Z4, mu, NEG)
 
+    @pytest.mark.parametrize("w1, w3", [(1e-13, 2e-13), (1e-3, 2e-3)])
+    def test_tiny_weights_compared_exactly(self, w1, w3):
+        # weights far below any absolute tolerance still differ
+        assert not fl.is_tau_invariant(Z4, z4_measure((1, w1), (3, w3)), NEG)
+
+    @pytest.mark.parametrize("w", [1e-13, 1e-3, 1 + 2j, 1e40])
+    def test_equal_weights_invariant_at_any_size(self, w):
+        assert fl.is_tau_invariant(Z4, z4_measure((1, w), (3, w)), NEG)
+
     def test_identity_always_invariant(self):
         tau = fl.identity_involution(Z4)
         mu = z4_measure((0, 2j), (3, 1.0))
