@@ -9,6 +9,11 @@ period p then chi(x)^i (chi(x)^p - 1) = 0, so chi(x) is 0 or a p-th root of
 unity: each numeric root is snapped to these exact candidates and kept only
 if the exact scan passes, so the values are exact and independent of how
 the elements are labelled.
+
+A set of m functions is an (m, n) stack, and the steps after the solvers
+take it whole: canonical_order sorts it with one lexsort, dedup_canonical
+compares all pairs through one distance matrix, and the enumeration scans
+every root with one gather.
 """
 from __future__ import annotations
 
@@ -35,12 +40,30 @@ def as_cfunc(values, order: int) -> np.ndarray:
     return f
 
 
-def canonical_key(f) -> tuple[tuple[float, float], ...]:
-    """Lexicographic sort key: (Re, Im) per index, rounded at 1e-8."""
-    return tuple(
-        (round(float(v.real), CANON_DECIMALS) + 0.0, round(float(v.imag), CANON_DECIMALS) + 0.0)
-        for v in np.asarray(f)
-    )
+def _rounded_parts(F, scale: float) -> np.ndarray:
+    """(Re, Im) of F / scale, interleaved along the last axis, rounded at
+    1e-8; the + 0.0 folds -0.0 into 0.0."""
+    F = np.asarray(F, dtype=np.complex128)
+    parts = np.empty(F.shape[:-1] + (2 * F.shape[-1],))
+    parts[..., 0::2] = F.real / scale
+    parts[..., 1::2] = F.imag / scale
+    return np.round(parts, CANON_DECIMALS) + 0.0
+
+
+def canonical_key(f, scale: float = 1.0) -> tuple[tuple[float, float], ...]:
+    """Lexicographic sort key: (Re, Im) of f / scale per index, rounded at
+    1e-8."""
+    r = _rounded_parts(f, scale).tolist()
+    return tuple(zip(r[0::2], r[1::2]))
+
+
+def canonical_order(F, scale: float = 1.0) -> np.ndarray:
+    """Row indices of the (m, n) stack F in canonical order: the stable
+    order of sorted(F, key=lambda f: canonical_key(f, scale)), from one
+    lexsort.  scale is the size of the solutions (a power of ||mu||), so
+    the order does not depend on the size of the measure."""
+    parts = _rounded_parts(F, scale)
+    return np.lexsort(parts.T[::-1])
 
 
 def max_abs(f) -> float:
@@ -51,15 +74,32 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def dedup_canonical(funcs, eps: float) -> list[np.ndarray]:
-    """Canonically sorted, without near-zero functions and near-duplicates
-    (max-abs distance <= eps), keeping for each cluster the canonically
-    smallest representative."""
-    out: list[np.ndarray] = []
-    for f in sorted(funcs, key=canonical_key):
-        if max_abs(f) > eps and all(max_abs_diff(f, kept) > eps for kept in out):
-            out.append(f)
-    return out
+def max_abs_distances(A, B) -> np.ndarray:
+    """(len(A), len(B)) matrix of max-abs distances between the rows of two
+    stacks of functions."""
+    if len(A) == 0 or len(B) == 0:
+        return np.zeros((len(A), len(B)))
+    A, B = np.asarray(A), np.asarray(B)
+    return np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
+
+
+def dedup_canonical(F, eps: float, scale: float = 1.0) -> np.ndarray:
+    """Indices of the rows of the (m, n) stack F that survive dedup, in
+    canonical order: going through that order, a row is kept when its
+    max-abs is above eps and it is more than eps away from every row kept
+    before it.  So near-zero functions are dropped and each cluster of
+    near-duplicates keeps its canonically smallest representative."""
+    if len(F) == 0:
+        return np.zeros(0, dtype=np.intp)
+    order = canonical_order(F, scale)
+    G = np.asarray(F)[order]
+    big = (np.abs(G).max(axis=1) > eps).tolist()
+    near = (max_abs_distances(G, G) <= eps).tolist()
+    kept: list[int] = []
+    for i in range(len(G)):
+        if big[i] and not any(near[i][k] for k in kept):
+            kept.append(i)
+    return order[kept]
 
 
 def candidate_values(sg: FiniteSemigroup, x: int) -> np.ndarray:
@@ -83,24 +123,28 @@ def enumerate_multiplicative(
     Completeness rests on the certificate of closed_system_roots; when no
     draw certifies (a root of very high multiplicity, as at the zero
     function of a deep nilpotent semigroup), the roots of every draw are
-    pooled.
+    pooled.  The snapped roots are scanned as one stack: one gather checks
+    every pair of every root, and exact repeats keep their first copy.
     """
     n = sg.order
     A = np.zeros((n * n, n))
     A[np.arange(n * n), sg.cayley.ravel()] = 2.0
     roots, _, _ = closed_system_roots(A, ROOT_TOL, draws=DRAWS)
-    snapped = np.empty_like(roots)
+    S = np.empty_like(roots)
     for x in range(n):
         cands = candidate_values(sg, x)
         nearest = np.abs(roots[:, x, None] - cands[None, :]).argmin(axis=1)
-        snapped[:, x] = cands[nearest]
-    found: dict[bytes, np.ndarray] = {}
-    for chi in snapped:
-        if is_multiplicative(sg, chi, tol) and (include_zero or max_abs(chi) > tol):
-            found.setdefault(chi.tobytes(), chi)
-    for chi in found.values():
-        chi.setflags(write=False)
-    return sorted(found.values(), key=canonical_key)
+        S[:, x] = cands[nearest]
+    deviation = np.abs(S[:, sg.cayley] - S[:, :, None] * S[:, None, :]).max(axis=(1, 2))
+    ok = deviation <= tol
+    if not include_zero:
+        ok &= np.abs(S).max(axis=1) > tol
+    S = S[ok]
+    _, first = np.unique(S.view(np.uint64), axis=0, return_index=True)
+    S = S[np.sort(first)]
+    S = S[canonical_order(S)]
+    S.setflags(write=False)
+    return list(S)
 
 
 def compose_tau(chi, tau: Involution) -> np.ndarray:

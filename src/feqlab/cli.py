@@ -1,12 +1,22 @@
 """Command-line interface: file-based instances, JSON reports, stable exit codes.
 
-Exit codes: 0 success, 2 validation error, 3 completeness mismatch,
-4 theorem-suite failure.  All reports are key-sorted JSON on stdout; two runs
-with the same seed produce byte-identical output.
+Exit codes: 0 success, 2 validation error (a refused option included),
+3 completeness mismatch, 4 theorem-suite failure.  All reports are
+key-sorted JSON on stdout; two runs with the same seed produce
+byte-identical output.
+
+Reports are written by _render, one pass over the report, with the bytes of
+json.dumps(report, indent=2, sort_keys=True).  It exists because on Python
+3.11 json's C encoder does not indent: with indent set, json falls back to
+its pure-Python encoder, which visits every value and calls a Python hook
+for every complex number.  _render writes each array of complex values with
+one comprehension instead.  The option parser is built once per process,
+on the first call of main.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 
@@ -46,17 +56,45 @@ class OptionError(InvariantViolation):
     invariant = "option value"
 
 
-def _json_default(o):
-    """Complex numbers as {"im", "re"} objects, arrays as lists of them."""
-    if isinstance(o, np.ndarray):
-        return [complex(v) for v in o]
-    if isinstance(o, complex):
-        return {"im": float(o.imag), "re": float(o.real)}
-    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+def _float(v: float) -> str:
+    return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _complex(re: float, im: float, pad: str) -> str:
+    inner = pad + "  "
+    return f'{{\n{inner}"im": {_float(im)},\n{inner}"re": {_float(re)}\n{pad}}}'
+
+
+def _render(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it at
+    indentation pad, with complex numbers as {"im", "re"} objects and 1-d
+    arrays as lists of them.  Dict keys are strings."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        if not obj.size:
+            return "[]"
+        z = obj.astype(np.complex128, copy=False)
+        items = [_complex(re, im, inner) for re, im in zip(z.real.tolist(), z.imag.tolist())]
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_render(v, inner) for v in obj]
+    elif isinstance(obj, float):
+        return _float(obj)
+    elif isinstance(obj, complex):
+        return _complex(obj.real, obj.imag, pad)
+    else:
+        return json.dumps(obj)  # str, int, bool or None; TypeError otherwise
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True, default=_json_default))
+    print(_render(obj, ""))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -249,8 +287,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_THEOREM
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Refused options raise OptionError instead of printing usage and
+    exiting, so they get a JSON report like every other bad input."""
+
+    def error(self, message):
+        raise OptionError(message)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="feqlab",
         description=(
             "Construct, enumerate and verify solution sets of integral "
@@ -283,9 +330,12 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
     try:
+        args = _parser().parse_args(argv)
         tol = getattr(args, "tol", 1.0)
         if not (math.isfinite(tol) and tol > 0):
             raise OptionError(f"--tol must be finite and greater than 0, got {tol}")

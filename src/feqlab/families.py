@@ -103,6 +103,7 @@ def family(
     solutions; dalembert: the abelian solutions (mu is ignored)."""
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
+    scale = inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
     eps = inst.mu.tolerance(DEDUP_EPS, SOLUTION_DEGREE[kind])
     funcs = []
     for ci in character_integrals(inst, chars):
@@ -118,9 +119,10 @@ def family(
         else:
             f = 0.5 * (ci.chi + chi_tau)
         funcs.append(f)
+    F = np.array(funcs)
     sols = tuple(
         Solution(values=f, residual=residual(kind, f, inst).max_abs, provenance="constructed")
-        for f in dedup_canonical(funcs, eps)
+        for f in F[dedup_canonical(F, eps, scale)]
     )
     return SolutionReport(equation=kind, solutions=sols)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import closed_system_roots
-from .characters import dedup_canonical, max_abs_diff
+from .characters import dedup_canonical, max_abs_distances
 from .equations import SOLUTION_DEGREE, Instance, linear_part
 from .errors import InvalidEnvironment
 from .families import Solution, SolutionReport
@@ -100,15 +100,18 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
         )
     roots *= s
     res = inst.mu.tolerance(res, 2 * degree)  # the residual of A has twice f's degree
-    residual_of = {f.tobytes(): float(r) for f, r in zip(roots, res)}
-    finals = dedup_canonical(roots, inst.mu.tolerance(MATCH_EPS, degree))
-    for f in finals:
-        f.setflags(write=False)
+    keep = dedup_canonical(roots, inst.mu.tolerance(MATCH_EPS, degree), s)
+    finals = roots[keep]
+    finals.setflags(write=False)
+    # a root the solver returned more than once reports its last residual
+    bits = roots.view(np.uint64)
+    same = (bits[keep, None, :] == bits[None, :, :]).all(axis=2)
+    last = (same * np.arange(len(roots))).max(axis=1, initial=0)
     return SolutionReport(
         equation=kind,
         solutions=tuple(
-            Solution(values=f, residual=residual_of[f.tobytes()], provenance="oracle")
-            for f in finals
+            Solution(values=f, residual=r, provenance="oracle")
+            for f, r in zip(finals, res[last].tolist())
         ),
     )
 
@@ -130,9 +133,8 @@ def match_solution_sets(a, b, eps: float = MATCH_EPS) -> MatchResult:
     """Match members of a against members of b at max-abs distance <= eps."""
     left = a.values() if isinstance(a, SolutionReport) else list(a)
     right = b.values() if isinstance(b, SolutionReport) else list(b)
-    allowed = [
-        [j for j, g in enumerate(right) if max_abs_diff(f, g) <= eps] for f in left
-    ]
+    close = max_abs_distances(left, right) <= eps
+    allowed = [np.flatnonzero(row).tolist() for row in close]
     owner = [-1] * len(right)
 
     def augment(i: int, seen: list[bool]) -> bool:

@@ -18,6 +18,9 @@ from .errors import (
 )
 
 
+ASSOC_BLOCK = 2**20  # triples per block of the associativity scan
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -65,8 +68,10 @@ class Orbit:
 def validate_semigroup(table) -> FiniteSemigroup:
     """Check range and associativity of a square index table.
 
-    Associativity is a full O(n^3) scan; table sizes here stay small enough
-    that nothing cleverer is warranted.
+    Associativity is a full O(n^3) scan in blocks of rows x, each block
+    comparing (x*y)*z with x*(y*z) over at most ASSOC_BLOCK triples, so the
+    memory stays O(n^2) for large n; up to n = 101 it is one block.  The
+    failure reported is the first triple in (x, y, z) order.
     """
     t = np.asarray(table, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
@@ -77,11 +82,14 @@ def validate_semigroup(table) -> FiniteSemigroup:
         raise EntryOutOfRange(
             f"entry {t[bad[0], bad[1]]} at ({bad[0]}, {bad[1]}) outside [0, {n})"
         )
-    left = t[t, :]   # left[x, y, z] = (x*y)*z
-    right = t[:, t]  # right[x, y, z] = x*(y*z)
-    if not np.array_equal(left, right):
-        x, y, z = np.argwhere(left != right)[0]
-        raise NotAssociative((int(x), int(y), int(z)))
+    rows = max(1, ASSOC_BLOCK // (n * n))
+    for start in range(0, n, rows):
+        block = t[start:start + rows]
+        left = t[block, :]   # left[x, y, z] = (x*y)*z
+        right = block[:, t]  # right[x, y, z] = x*(y*z)
+        if not np.array_equal(left, right):
+            x, y, z = np.argwhere(left != right)[0]
+            raise NotAssociative((start + int(x), int(y), int(z)))
     return FiniteSemigroup(order=n, cayley=_frozen(t))
 
 

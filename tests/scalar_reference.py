@@ -5,15 +5,31 @@ inner sum of double_integral reuses right_integral verbatim, so the
 finite-sum Fubini identity holds exactly, not merely within rounding.
 equation_matrix_add_at assembles each equation's linear part term by term
 with np.add.at.  van_vleck_family_dirac is the sine family specialized to a unit point mass,
-a cross-check of the general construction.
+a cross-check of the general construction.  The set-at-a-time steps after
+the solvers have their one-member-at-a-time loops here: dedup_canonical_loop
+(a sort keyed by canonical_key, one distance per pair),
+enumerate_multiplicative_loop (one multiplicativity scan per root),
+match_solution_sets_loop (one distance per pair) and json_report (json's
+encoder with a default hook for complex values).
 """
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
 import feqlab as fl
-from feqlab.characters import dedup_canonical
+from feqlab.algebra import closed_system_roots
+from feqlab.characters import (
+    DRAWS,
+    MULT_TOL,
+    ROOT_TOL,
+    canonical_key,
+    max_abs,
+    max_abs_diff,
+)
 from feqlab.families import ADMISSIBLE_TOL, DEDUP_EPS
+from feqlab.oracle import MATCH_EPS, MatchResult
 
 
 def right_integral(sg: fl.FiniteSemigroup, f, mu: fl.CentralMeasure, x: int) -> complex:
@@ -102,6 +118,81 @@ def van_vleck_family_dirac(
             residual=fl.residual_van_vleck(f, inst).max_abs,
             provenance="constructed",
         )
-        for f in dedup_canonical(funcs, eps=dedup_eps)
+        for f in dedup_canonical_loop(funcs, eps=dedup_eps)
     )
     return fl.SolutionReport(equation="van_vleck", solutions=sols)
+
+
+def dedup_canonical_loop(funcs, eps: float, scale: float = 1.0) -> list[np.ndarray]:
+    """Canonically sorted, without near-zero functions and near-duplicates
+    (max-abs distance <= eps), keeping for each cluster the canonically
+    smallest representative."""
+    out: list[np.ndarray] = []
+    for f in sorted(funcs, key=lambda f: canonical_key(f, scale)):
+        if max_abs(f) > eps and all(max_abs_diff(f, kept) > eps for kept in out):
+            out.append(f)
+    return out
+
+
+def enumerate_multiplicative_loop(
+    sg: fl.FiniteSemigroup, include_zero: bool = False, tol: float = MULT_TOL
+) -> list[np.ndarray]:
+    """enumerate_multiplicative with one is_multiplicative scan per snapped
+    root and exact repeats dropped through a dict of their bytes."""
+    n = sg.order
+    A = np.zeros((n * n, n))
+    A[np.arange(n * n), sg.cayley.ravel()] = 2.0
+    roots, _, _ = closed_system_roots(A, ROOT_TOL, draws=DRAWS)
+    snapped = np.empty_like(roots)
+    for x in range(n):
+        cands = fl.candidate_values(sg, x)
+        nearest = np.abs(roots[:, x, None] - cands[None, :]).argmin(axis=1)
+        snapped[:, x] = cands[nearest]
+    found: dict[bytes, np.ndarray] = {}
+    for chi in snapped:
+        if fl.is_multiplicative(sg, chi, tol) and (include_zero or max_abs(chi) > tol):
+            found.setdefault(chi.tobytes(), chi)
+    return sorted(found.values(), key=canonical_key)
+
+
+def match_solution_sets_loop(a, b, eps: float = MATCH_EPS) -> MatchResult:
+    """match_solution_sets with the allowed lists built one pair at a time."""
+    left = a.values() if isinstance(a, fl.SolutionReport) else list(a)
+    right = b.values() if isinstance(b, fl.SolutionReport) else list(b)
+    allowed = [
+        [j for j, g in enumerate(right) if max_abs_diff(f, g) <= eps] for f in left
+    ]
+    owner = [-1] * len(right)
+
+    def augment(i: int, seen: list[bool]) -> bool:
+        for j in allowed[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    for i in range(len(left)):
+        augment(i, [False] * len(right))
+    pairs = tuple(sorted((i, j) for j, i in enumerate(owner) if i >= 0))
+    matched_left = {i for i, _ in pairs}
+    return MatchResult(
+        pairs=pairs,
+        unmatched_left=tuple(i for i in range(len(left)) if i not in matched_left),
+        unmatched_right=tuple(j for j in range(len(right)) if owner[j] < 0),
+    )
+
+
+def _json_default(o):
+    """Complex numbers as {"im", "re"} objects, arrays as lists of them."""
+    if isinstance(o, np.ndarray):
+        return [complex(v) for v in o]
+    if isinstance(o, complex):
+        return {"im": float(o.imag), "re": float(o.real)}
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
+def json_report(obj) -> str:
+    """A CLI report as json's own encoder writes it."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)

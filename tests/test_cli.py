@@ -381,6 +381,40 @@ class TestHardening:
         assert json.loads(out)["error"]["invariant"] == "option value"
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "vanvleck", "SPEC", "--seed", "abc"),
+            ("verify-theorems", "SPEC", "--seed", "1.5"),
+            ("solve", "kannappan", "SPEC", "--tol", "-1e-5"),
+            ("chars", "SPEC", "--tol", "-inf"),
+            ("solve", "vanvleck"),
+            ("frobnicate", "SPEC"),
+            ("solve", "sine", "SPEC"),
+            ("validate", "SPEC", "--oracle"),
+            (),
+        ],
+        ids=[
+            "seed-not-int", "seed-float", "tol-two-tokens", "tol-minus-inf",
+            "missing-spec-file", "unknown-command", "unknown-kind", "unknown-flag",
+            "no-command",
+        ],
+    )
+    def test_refused_options_exit_2_as_json(self, tmp_path, capsys, argv):
+        path = write_spec(tmp_path)
+        code = cli.main([path if a == "SPEC" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert json.loads(captured.out)["error"]["invariant"] == "option value"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: feqlab")
+
+    @pytest.mark.parametrize(
         "raw",
         [
             b"\xff\xfe{}",

@@ -16,6 +16,7 @@ import pytest
 
 import feqlab as fl
 from feqlab import cli
+from feqlab.characters import max_abs_diff
 from feqlab.equations import SOLUTION_DEGREE
 
 LAMBDAS = [
@@ -36,8 +37,15 @@ CASES = {
 }
 
 
+# member order: scaling mu by a positive factor keeps the listed order
+ORDERED = {
+    "Z2xZ4/id/d1": (Z2xZ4, fl.identity_involution(Z2xZ4), [(1, 1.0)]),
+    "Z2xZ4/inv/d1": (Z2xZ4, fl.inverse_involution(Z2xZ4), [(1, 1.0)]),
+}
+
+
 def scaled(name, lam):
-    sg, tau, atoms = CASES[name]
+    sg, tau, atoms = {**CASES, **ORDERED}[name]
     return fl.Instance(sg=sg, tau=tau, mu=fl.central_measure(sg, [(z, lam * w) for z, w in atoms]))
 
 
@@ -66,6 +74,24 @@ def test_solution_sets_scale_with_mu(name, lam, unit_families):
         assert fl.match_solution_sets(want, found, eps).is_match, kind
     report = fl.verify_instance(inst)
     assert report.passed, report.failures[:1]
+
+
+@pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+@pytest.mark.parametrize("name", ORDERED)
+def test_member_order_scales_with_mu(name, lam):
+    """The canonical order is taken relative to the size of the solutions,
+    so lam mu lists |lam|^d times the members of (lam / |lam|) mu in the
+    same order, d the solutions' degree in mu."""
+    size = abs(lam)
+    unit, inst = scaled(name, lam / size), scaled(name, lam)
+    for kind in fl.KINDS:
+        factor = size ** SOLUTION_DEGREE[kind]
+        for solve in (fl.family, fl.oracle_solve):
+            want = solve(kind, unit).values()
+            got = solve(kind, inst).values()
+            assert len(got) == len(want), (kind, solve.__name__)
+            for f, g in zip(want, got):
+                assert max_abs_diff(factor * f, g) <= 1e-9 * factor, (kind, solve.__name__)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)

@@ -1,6 +1,10 @@
 """Semigroup core: table validation, involutions, center, orbits, builders."""
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +44,37 @@ class TestValidateSemigroup:
         with pytest.raises(fl.NotAssociative) as exc:
             fl.validate_semigroup(table)
         assert exc.value.triple == expected
+
+    def test_failure_in_a_later_block_is_the_first_triple(self):
+        # rows below 64 are left-zero rows, x*y = x, so every triple starting
+        # there is associative; at n = 128 the scan runs in blocks of 64 rows
+        n = 128
+        assert fl.semigroups.ASSOC_BLOCK // (n * n) == 64
+        i = np.arange(n)
+        table = np.where(i[:, None] < 64, i[:, None], (i[:, None] + i[None, :]) % n)
+        unchunked = np.argwhere(table[table, :] != table[:, table])[0]
+        assert unchunked[0] >= 64
+        with pytest.raises(fl.NotAssociative) as exc:
+            fl.validate_semigroup(table)
+        assert exc.value.triple == tuple(int(v) for v in unchunked)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+    def test_order_512_stays_in_bounded_memory(self):
+        # Unchunked, this scan would hold two 512^3 int64 tensors, 1 GB each.
+        # The peak is read as VmHWM: ru_maxrss would carry over the test
+        # runner's own peak through the exec.
+        code = (
+            "import re, numpy as np, feqlab as fl\n"
+            "i = np.arange(512)\n"
+            "fl.validate_semigroup((i[:, None] + i[None, :]) % 512)\n"
+            "print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1])\n"
+        )
+        src = Path(fl.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env={"PYTHONPATH": str(src)},
+        )
+        assert int(out.stdout) < 100 * 1024  # kB
 
     def test_entry_out_of_range(self):
         with pytest.raises(fl.EntryOutOfRange):

@@ -1,11 +1,11 @@
 """Hypothesis fuzz of spec loading and option checking through cli.main.
 
-Every malformed value of a spec key, and every --tol that parses as a float
-but is not finite and positive, exits 2 with a named invariant in the JSON
-error report; nothing raises.  argparse itself refuses option strings that
-are not numbers (a usage error), and every integer is a valid --seed, so
-seeds are drawn from all integers, beyond 64 bits included, alongside the
-malformed specs.
+Every malformed value of a spec key, every --tol that is not a finite
+positive float and every --seed that is not an integer exits 2 with a named
+invariant in the JSON error report; nothing raises.  Options are passed as
+two tokens, so a value such as -1e-05 or -inf reaches argparse as what looks
+like a flag.  Every integer is a valid --seed, so seeds are drawn from all
+integers, beyond 64 bits included, alongside the malformed specs.
 """
 from __future__ import annotations
 
@@ -142,6 +142,29 @@ def test_malformed_spec_shape_exits_2(spec_path, spec, command):
     command=st.sampled_from([c for c in COMMANDS if c[0] != "validate"]),
 )
 def test_bad_tol_exits_2(spec_path, tol, command):
-    code, out = run(spec_path, VALID, command, [f"--tol={tol}"])
+    code, out = run(spec_path, VALID, command, ["--tol", tol])
+    assert code == 2
+    assert json.loads(out)["error"]["invariant"] == "option value"
+
+
+def not_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.text(max_size=6).filter(not_an_int)
+    | st.floats().map(repr)
+    | st.sampled_from(["", " ", "0x10", "1e3", "--oracle", "-h"]),
+    command=st.sampled_from(
+        [c for c in COMMANDS if c[0] == "verify-theorems" or "--oracle" in c]
+    ),
+)
+def test_bad_seed_exits_2(spec_path, seed, command):
+    code, out = run(spec_path, VALID, command, ["--seed", seed])
     assert code == 2
     assert json.loads(out)["error"]["invariant"] == "option value"
