@@ -79,6 +79,7 @@ from .semigroups import (
     inverse_involution,
     left_zero,
     orbit,
+    orbit_table,
     symmetric_group_3,
     validate_involution,
     validate_semigroup,

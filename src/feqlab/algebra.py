@@ -26,6 +26,10 @@ merged into one cluster average to a point whose residual is
 than about sqrt(tol); so a certified draw has one root per cluster and,
 every root lying in N, misses none.  A failed certificate is answered by a
 fresh c.
+
+A is cast to complex128 once: a mixed complex-by-float product is slow
+under OpenBLAS threads.  Where the symmetry forms vanish (a commutative
+table), N is all of C^(n+1) and no SVD or closure step runs.
 """
 from __future__ import annotations
 
@@ -56,13 +60,16 @@ def _multiplication_matrices(A: np.ndarray) -> np.ndarray:
 
 
 def _closed_subspace(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis Q of N, shape (n+1, dim N)."""
+    """Orthonormal basis Q of N, shape (n+1, dim N).  With no symmetry forms
+    Q is the identity as _null_space returns it for zero forms, -0j and all."""
     n = A.shape[1]
     A3 = A.reshape(n, n, n)
+    if np.array_equal(A3, A3.transpose(1, 0, 2)):
+        return np.eye(n + 1, dtype=A.dtype).conj()
     forms = np.zeros((n * n, n + 1), dtype=A.dtype)
     forms[:, 1:] = (A3 - A3.transpose(1, 0, 2)).reshape(n * n, n)
     Q = _null_space(forms)
-    while Q.shape[1]:
+    while 0 < Q.shape[1] < n + 1:
         outside = M @ Q
         outside -= Q @ (Q.conj().T @ outside)
         keep = _null_space(outside.reshape(-1, Q.shape[1]))
@@ -73,9 +80,12 @@ def _closed_subspace(A: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _clusters(lam: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Connected components of the graph |lam_i - lam_j| <= tol."""
+    """Connected components of the graph |lam_i - lam_j| <= tol, in order of
+    their smallest index."""
     near = np.abs(lam[:, None] - lam[None, :]) <= tol
     label = np.arange(lam.size)
+    if np.count_nonzero(near) == lam.size and near.diagonal().all():  # no two near
+        return [label[i:i + 1] for i in range(lam.size)]
     while True:
         new = np.where(near, label[None, :], lam.size).min(axis=1)
         if np.array_equal(new, label):
@@ -87,7 +97,8 @@ def _clusters(lam: np.ndarray, tol: float) -> list[np.ndarray]:
 def _residuals(A: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Max-abs residual of A f - 2 f(x) f(y) for each row f of F."""
     n = A.shape[1]
-    R = (F @ A.T).reshape(-1, n, n) - 2.0 * F[:, :, None] * F[:, None, :]
+    R = (F @ A.T).reshape(-1, n, n)
+    R -= 2.0 * F[:, :, None] * F[:, None, :]  # in place: one n^3 temporary fewer
     return np.abs(R).reshape(F.shape[0], -1).max(axis=1)
 
 
@@ -103,6 +114,7 @@ def closed_system_roots(
     zero root included), so they may repeat; with certified False some may
     be missing.
     """
+    A = np.asarray(A, dtype=np.complex128)
     n = A.shape[1]
     M = _multiplication_matrices(A)
     Q = _closed_subspace(A, M)
@@ -116,10 +128,12 @@ def closed_system_roots(
         U = Q @ V  # eigenvectors as v = (v_0, ...) in C^(n+1)
         clusters = _clusters(lam, CLUSTER_TOL)
         F = np.empty((len(clusters), n), dtype=np.complex128)
+        single = [i for i, idx in enumerate(clusters) if idx.size == 1]
+        cols = [clusters[i][0] for i in single]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F[single] = (U[1:, cols] / U[0, cols]).T
         for i, idx in enumerate(clusters):
             if idx.size == 1:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    F[i] = U[1:, idx[0]] / U[0, idx[0]]
                 continue
             shifted = C - lam[idx].mean() * np.eye(C.shape[0])
             _, _, vh = np.linalg.svd(np.linalg.matrix_power(shifted, idx.size))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import closed_system_roots
-from .semigroups import FiniteSemigroup, Involution, orbit
+from .semigroups import FiniteSemigroup, Involution, orbit, orbit_table
 
 MULT_TOL = 1e-12     # absolute slack for the exact multiplicativity scan
 CANON_DECIMALS = 8   # rounding used by the canonical order and dedup
@@ -102,11 +102,14 @@ def dedup_canonical(F, eps: float, scale: float = 1.0) -> np.ndarray:
     return order[kept]
 
 
+def _candidates(p: int) -> np.ndarray:
+    """{0} plus the p-th roots of unity."""
+    return np.concatenate(([0j], np.exp(2j * np.pi * np.arange(p) / p)))
+
+
 def candidate_values(sg: FiniteSemigroup, x: int) -> np.ndarray:
     """{0} plus the p-th roots of unity, p the orbit period of x."""
-    p = orbit(sg, x).period
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    return np.concatenate(([0j], roots))
+    return _candidates(orbit(sg, x).period)
 
 
 def is_multiplicative(sg: FiniteSemigroup, chi, tol: float = MULT_TOL) -> bool:
@@ -123,25 +126,29 @@ def enumerate_multiplicative(
     Completeness rests on the certificate of closed_system_roots; when no
     draw certifies (a root of very high multiplicity, as at the zero
     function of a deep nilpotent semigroup), the roots of every draw are
-    pooled.  The snapped roots are scanned as one stack: one gather checks
-    every pair of every root, and exact repeats keep their first copy.
+    pooled.  The roots are snapped one orbit period at a time and scanned as
+    one stack: one gather checks every pair of every root, and exact repeats
+    keep their first copy.
     """
     n = sg.order
-    A = np.zeros((n * n, n))
+    A = np.zeros((n * n, n), dtype=np.complex128)
     A[np.arange(n * n), sg.cayley.ravel()] = 2.0
     roots, _, _ = closed_system_roots(A, ROOT_TOL, draws=DRAWS)
+    _, period = orbit_table(sg)
     S = np.empty_like(roots)
-    for x in range(n):
-        cands = candidate_values(sg, x)
-        nearest = np.abs(roots[:, x, None] - cands[None, :]).argmin(axis=1)
-        S[:, x] = cands[nearest]
+    for p in sorted(set(period.tolist())):
+        cols = np.flatnonzero(period == p)
+        cands = _candidates(p)
+        nearest = np.abs(roots[:, cols, None] - cands).argmin(axis=2)
+        S[:, cols] = cands[nearest]
     deviation = np.abs(S[:, sg.cayley] - S[:, :, None] * S[:, None, :]).max(axis=(1, 2))
     ok = deviation <= tol
     if not include_zero:
         ok &= np.abs(S).max(axis=1) > tol
-    S = S[ok]
-    _, first = np.unique(S.view(np.uint64), axis=0, return_index=True)
-    S = S[np.sort(first)]
+    first: dict[bytes, int] = {}
+    for i in np.flatnonzero(ok).tolist():
+        first.setdefault(S[i].tobytes(), i)
+    S = S[list(first.values())]
     S = S[canonical_order(S)]
     S.setflags(write=False)
     return list(S)

@@ -10,8 +10,9 @@ json.dumps(report, indent=2, sort_keys=True).  It exists because on Python
 3.11 json's C encoder does not indent: with indent set, json falls back to
 its pure-Python encoder, which visits every value and calls a Python hook
 for every complex number.  _render writes each array of complex values with
-one comprehension instead.  The option parser is built once per process,
-on the first call of main.
+one comprehension instead, and each string (dict keys included) with the
+function json.dumps calls for it.  The option parser is built once per
+process, on the first call of main.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import argparse
 import functools
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .errors import InvariantViolation
 from .families import Solution, character_integrals, family
 from .measures import central_measure, is_tau_invariant
 from .oracle import MATCH_EPS, OracleConfig, match_solution_sets, oracle_solve
-from .semigroups import center, orbit, validate_involution, validate_semigroup
+from .semigroups import center, orbit_table, validate_involution, validate_semigroup
 from .verify import verify_instance
 
 EXIT_OK = 0
@@ -73,7 +75,7 @@ def _render(obj, pad: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{json.dumps(k)}: {_render(v, inner)}" for k, v in sorted(obj.items())]
+        items = [f"{_quote(k)}: {_render(v, inner)}" for k, v in sorted(obj.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(obj, np.ndarray):
         if not obj.size:
@@ -88,8 +90,10 @@ def _render(obj, pad: str) -> str:
         return _float(obj)
     elif isinstance(obj, complex):
         return _complex(obj.real, obj.imag, pad)
+    elif isinstance(obj, str):
+        return _quote(obj)
     else:
-        return json.dumps(obj)  # str, int, bool or None; TypeError otherwise
+        return json.dumps(obj)  # int, bool or None; TypeError otherwise
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
@@ -107,9 +111,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_index(v) -> bool:
-    """JSON integer that fits the int64 tables it is stored in."""
-    return _is_int(v) and -(2**63) <= v < 2**63
+def _index_array(values: list, message: str) -> np.ndarray:
+    """values as int64, if each is a JSON integer (not a bool) within 64 bits."""
+    _require(set(map(type, values)) <= {int}, message)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise SpecFormatError(message) from exc
 
 
 def _is_number(v) -> bool:
@@ -142,14 +150,11 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
         isinstance(cayley, list) and len(cayley) == n * n,
         f"cayley must be a flat list of {n * n} indices",
     )
-    _require(
-        all(_is_index(v) for v in cayley), "cayley entries must be 64-bit integers"
-    )
+    table = _index_array(cayley, "cayley entries must be 64-bit integers")
     inv = data["involution"]
-    _require(
-        isinstance(inv, list) and len(inv) == n and all(_is_index(v) for v in inv),
-        f"involution must be a list of {n} 64-bit integers",
-    )
+    inv_message = f"involution must be a list of {n} 64-bit integers"
+    _require(isinstance(inv, list) and len(inv) == n, inv_message)
+    perm = _index_array(inv, inv_message)
     atoms_raw = data["measure"]
     _require(
         isinstance(atoms_raw, list) and atoms_raw, "measure must be a non-empty list"
@@ -178,8 +183,8 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
             f"labels must be a list of {n} strings",
         )
 
-    sg = validate_semigroup(np.asarray(cayley, dtype=np.int64).reshape(n, n))
-    tau = validate_involution(sg, inv)
+    sg = validate_semigroup(table.reshape(n, n))
+    tau = validate_involution(sg, perm)
     mu = central_measure(sg, atoms)
     total = mu.total_variation
     _require(
@@ -187,7 +192,7 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
         f"measure total variation must be in [{MIN_TOTAL_VARIATION}, "
         f"{MAX_TOTAL_VARIATION}], got {total}",
     )
-    return Instance(sg=sg, tau=tau, mu=mu), labels
+    return Instance.of_validated(sg, tau, mu), labels
 
 
 def _solution_json(sol: Solution) -> dict:
@@ -197,12 +202,13 @@ def _solution_json(sol: Solution) -> dict:
 def cmd_validate(args) -> int:
     inst, labels = load_instance_file(args.spec_file)
     sg = inst.sg
+    index, period = orbit_table(sg)
     summary = {
         "center": list(center(sg)),
         "measure": [{"point": z, "weight": w} for z, w in inst.mu.atoms()],
         "orbits": [
-            {"element": x, "index": orbit(sg, x).index, "period": orbit(sg, x).period}
-            for x in range(sg.order)
+            {"element": x, "index": i, "period": p}
+            for x, (i, p) in enumerate(zip(index.tolist(), period.tolist()))
         ],
         "order": sg.order,
         "tau_invariant_measure": is_tau_invariant(sg, inst.mu, inst.tau),

@@ -6,12 +6,13 @@ exact finite computation in complex double precision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .measures import CentralMeasure, right_integral_table
+from .measures import CentralMeasure, cmul, right_integral_table
 from .semigroups import FiniteSemigroup, Involution, center, validate_involution
 
 ABELIAN_TOL = 1e-12
@@ -37,6 +38,14 @@ class Instance:
             if int(z) not in central:
                 raise ValueError(f"measure point {int(z)} is not central")
 
+    @classmethod
+    def of_validated(cls, sg: FiniteSemigroup, tau: Involution, mu: CentralMeasure) -> "Instance":
+        """Skips the checks: tau is from validate_involution(sg, ...), mu from
+        central_measure(sg, ...)."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(sg=sg, tau=tau, mu=mu)
+        return inst
+
 
 @dataclass(frozen=True)
 class Residual:
@@ -46,11 +55,19 @@ class Residual:
     argmax: tuple[int, ...]
 
 
+def _worst_rows(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst absolute deviation of each member of the stack dev and the
+    argument tuple attaining it, as arrays of shape (m,) and (m, dev.ndim - 1);
+    the first occurrence in C order, the lexicographically smallest argmax."""
+    mags = np.abs(dev).reshape(len(dev), math.prod(dev.shape[1:]))
+    k = mags.argmax(axis=1)
+    at = np.unravel_index(k, dev.shape[1:]) if dev.ndim > 1 else ()
+    return mags[np.arange(len(k)), k], np.array(at, dtype=np.intp).reshape(dev.ndim - 1, len(k)).T
+
+
 def _worst(dev: np.ndarray) -> Residual:
-    mags = np.abs(dev)
-    # first occurrence in C order = lexicographically smallest argmax
-    idx = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    return Residual(float(mags[idx]), tuple(int(i) for i in idx))
+    worst, at = _worst_rows(dev[None])
+    return Residual(float(worst[0]), tuple(at[0].tolist()))
 
 
 def linear_part(
@@ -72,9 +89,16 @@ def linear_part(
     return shifted - plain if kind == "van_vleck" else plain + shifted
 
 
-def _residual(kind, f, sg, tau, mu=None) -> Residual:
-    fa = np.asarray(f)
-    return _worst(linear_part(kind, fa, sg, tau, mu) - 2 * np.outer(fa, fa))
+def _deviation(kind, F, sg, tau, mu=None) -> np.ndarray:
+    """linear_part minus 2 f(x) f(y), batched over the leading axes of F."""
+    F = np.asarray(F)
+    return linear_part(kind, F, sg, tau, mu) - 2 * cmul(F[..., :, None], F[..., None, :])
+
+
+def residuals(kind: str, F, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """residual of every row of the (m, n) stack F, bit for bit as alone:
+    the worst deviations, shape (m,), and their (x, y), shape (m, 2)."""
+    return _worst_rows(_deviation(kind, F, inst.sg, inst.tau, inst.mu))
 
 
 def residual(kind: str, f, inst: Instance) -> Residual:
@@ -84,7 +108,7 @@ def residual(kind: str, f, inst: Instance) -> Residual:
     kannappan: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)
     dalembert: g(xy) + g(x tau(y)) = 2 g(x) g(y)   (mu is ignored)
     """
-    return _residual(kind, f, inst.sg, inst.tau, inst.mu)
+    return _worst(_deviation(kind, f, inst.sg, inst.tau, inst.mu))
 
 
 def residual_van_vleck(f, inst: Instance) -> Residual:
@@ -99,7 +123,7 @@ def residual_kannappan(f, inst: Instance) -> Residual:
 
 def residual_dalembert(g, sg: FiniteSemigroup, tau: Involution) -> Residual:
     """Classic d'Alembert equation: g(xy) + g(x tau(y)) = 2 g(x) g(y)."""
-    return _residual("dalembert", g, sg, tau)
+    return _worst(_deviation("dalembert", g, sg, tau))
 
 
 def residual_mu_spherical(psi, inst: Instance) -> Residual:

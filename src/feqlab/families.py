@@ -19,15 +19,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .characters import (
-    compose_tau,
-    dedup_canonical,
-    enumerate_multiplicative,
-    max_abs,
-)
-from .equations import KINDS, SOLUTION_DEGREE, Instance, is_abelian_function, residual
+from .characters import compose_tau, dedup_canonical, enumerate_multiplicative
+from .equations import KINDS, SOLUTION_DEGREE, Instance, is_abelian_function, residual, residuals
+from .equations import _worst_rows
 from .errors import EquivalenceViolation, ZeroDenominator
-from .measures import CentralMeasure, right_integral_table, total_mass_integral
+from .measures import CentralMeasure, atom_sum, cmul, right_integral_table, total_mass_integral
 from .semigroups import FiniteSemigroup, Involution
 
 # Tolerances at ||mu|| = 1; a quantity of degree d in mu is compared with
@@ -79,34 +75,31 @@ class SolutionReport:
 
 
 def character_integrals(inst: Instance, chars=None) -> list[CharacterIntegrals]:
+    """Both integrals of every multiplicative function, one stack at a time."""
     if chars is None:
         chars = enumerate_multiplicative(inst.sg)
-    out = []
-    for chi in chars:
-        out.append(
-            CharacterIntegrals(
-                chi=chi,
-                int_mu=total_mass_integral(chi, inst.mu),
-                int_mu_tau=total_mass_integral(compose_tau(chi, inst.tau), inst.mu),
-                mu=inst.mu,
-            )
-        )
-    return out
+    X = np.array(chars, dtype=np.complex128).reshape(len(chars), inst.sg.order)
+    int_mu = total_mass_integral(X, inst.mu).tolist()
+    int_mu_tau = total_mass_integral(X[:, inst.tau.perm], inst.mu).tolist()
+    return [CharacterIntegrals(chi, a, b, inst.mu) for chi, a, b in zip(chars, int_mu, int_mu_tau)]
 
 
 def family(
-    kind: str, inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL
+    kind: str, inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL, integrals=None
 ) -> SolutionReport:
     """Constructed solutions of one equation, one candidate per multiplicative
     function chi (see the module docstring).  van_vleck: all nonzero solutions
     (chi and chi o tau give the same member); kannappan: all nonzero abelian
-    solutions; dalembert: the abelian solutions (mu is ignored)."""
+    solutions; dalembert: the abelian solutions (mu is ignored).  integrals
+    is character_integrals(inst, chars), if the caller has it."""
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
     scale = inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
     eps = inst.mu.tolerance(DEDUP_EPS, SOLUTION_DEGREE[kind])
+    if integrals is None:
+        integrals = character_integrals(inst, chars)
     funcs = []
-    for ci in character_integrals(inst, chars):
+    for ci in integrals:
         chi_tau = compose_tau(ci.chi, inst.tau)
         if kind == "van_vleck":
             if not ci.van_vleck_admissible(tol):
@@ -119,11 +112,10 @@ def family(
         else:
             f = 0.5 * (ci.chi + chi_tau)
         funcs.append(f)
-    F = np.array(funcs)
-    sols = tuple(
-        Solution(values=f, residual=residual(kind, f, inst).max_abs, provenance="constructed")
-        for f in F[dedup_canonical(F, eps, scale)]
-    )
+    F = np.array(funcs, dtype=np.complex128).reshape(len(funcs), inst.sg.order)
+    F = F[dedup_canonical(F, eps, scale)]
+    res, _ = residuals(kind, F, inst)
+    sols = tuple(Solution(f, r, "constructed") for f, r in zip(F, res.tolist()))
     return SolutionReport(equation=kind, solutions=sols)
 
 
@@ -160,21 +152,22 @@ def _leads(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 def _shifted_sums(r: np.ndarray, inst: Instance, lead: np.ndarray) -> np.ndarray:
     """sum_i w_i r(x * lead_i) over all x."""
-    return r[inst.sg.cayley[:, lead]] @ inst.mu.weights
+    return atom_sum(r[..., inst.sg.cayley[:, lead]], inst.mu)
 
 
-def _double_mass(r: np.ndarray, inst: Instance, lead: np.ndarray) -> complex:
+def _double_mass(r: np.ndarray, inst: Instance, lead: np.ndarray) -> np.ndarray:
     """sum_i w_i r(lead_i)."""
-    return complex(r[lead] @ inst.mu.weights)
+    return atom_sum(r[..., lead], inst.mu)
 
 
 # ---------------------------------------------------------------------------
 # the mass-scaling bijection between admissible d'Alembert solutions and
-# nonzero Kannappan solutions
+# nonzero Kannappan solutions, both maps batched over the leading axes
 
 def dalembert_to_kannappan(g, inst: Instance) -> np.ndarray:
     """Forward map: g -> (int g dmu) * g."""
-    return total_mass_integral(g, inst.mu) * np.asarray(g)
+    g = np.asarray(g)
+    return cmul(atom_sum(g[..., inst.mu.points], inst.mu)[..., None], g)
 
 
 def kannappan_to_dalembert(f, inst: Instance) -> np.ndarray:
@@ -184,10 +177,12 @@ def kannappan_to_dalembert(f, inst: Instance) -> np.ndarray:
     the first place, so it is reported as an error rather than patched over.
     The mass has degree 2 in mu (f has degree 1).
     """
-    mass = total_mass_integral(f, inst.mu)
-    if abs(mass) <= inst.mu.tolerance(ADMISSIBLE_TOL, 2):
-        raise ZeroDenominator(f"int f dmu = {mass}, cannot invert")
-    return right_integral_table(inst.sg, np.asarray(f), inst.mu) / mass
+    f = np.asarray(f)
+    mass = atom_sum(f[..., inst.mu.points], inst.mu)
+    small = np.abs(mass) <= inst.mu.tolerance(ADMISSIBLE_TOL, 2)
+    if small.any():
+        raise ZeroDenominator(f"int f dmu = {complex(mass[small].ravel()[0])}, cannot invert")
+    return right_integral_table(inst.sg, f, inst.mu) / mass[..., None]
 
 
 @dataclass(frozen=True)
@@ -205,6 +200,7 @@ class DalembertConditions:
     double_mass: bool
     deviations: tuple[float, float, float]
     mass: complex
+    mu: CentralMeasure
 
     @property
     def consistent(self) -> bool:
@@ -214,28 +210,37 @@ class DalembertConditions:
     def all_hold(self) -> bool:
         return self.tau_shift and self.proportionality and self.double_mass
 
+    def admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
+        """A mass above mu.tolerance(tol, 1) and all three conditions."""
+        if not self.consistent:
+            raise EquivalenceViolation(self.tau_shift, self.proportionality, self.double_mass)
+        return abs(self.mass) > self.mu.tolerance(tol, 1) and self.all_hold
+
+
+def integral_conditions(G, inst: Instance) -> list[DalembertConditions]:
+    """The three conditions for every row g of the (m, n) stack G, bit for bit
+    as alone, each deviation compared with mu.tolerance(ADMISSIBLE_TOL, d) for
+    its degree d in mu (1 for the shift tables, 2 for the double mass)."""
+    G = np.asarray(G)
+    mu = inst.mu
+    tol = [mu.tolerance(ADMISSIBLE_TOL, d) for d in (1, 2)]
+    plain, tilted = _leads(inst)
+    r = right_integral_table(inst.sg, G, mu)
+    r_tau = _shifted_sums(G, inst, tilted)
+    mass = atom_sum(G[:, plain], mu)
+    dd = _double_mass(r, inst, plain)
+    d_shift = np.abs(r - r_tau).max(axis=1).tolist()
+    d_prop = np.abs(r - cmul(G, mass[:, None])).max(axis=1).tolist()
+    d_mass = np.abs(dd - cmul(mass, mass)).tolist()
+    return [
+        DalembertConditions(a <= tol[0], b <= tol[0], c <= tol[1], (a, b, c), m, mu)
+        for a, b, c, m in zip(d_shift, d_prop, d_mass, mass.tolist())
+    ]
+
 
 def dalembert_integral_conditions(g, inst: Instance) -> DalembertConditions:
-    """The three conditions, each deviation compared with
-    mu.tolerance(ADMISSIBLE_TOL, d) for its degree d in mu (1 for the two
-    shift tables, 2 for the double mass; g itself has degree 0)."""
-    ga = np.asarray(g)
-    tol = [inst.mu.tolerance(ADMISSIBLE_TOL, d) for d in (1, 2)]
-    plain, tilted = _leads(inst)
-    r = right_integral_table(inst.sg, ga, inst.mu)
-    r_tau = _shifted_sums(ga, inst, tilted)
-    mass = total_mass_integral(ga, inst.mu)
-    dd = _double_mass(r, inst, plain)
-    d_shift = float(np.max(np.abs(r - r_tau)))
-    d_prop = float(np.max(np.abs(r - ga * mass)))
-    d_mass = abs(dd - mass * mass)
-    return DalembertConditions(
-        tau_shift=d_shift <= tol[0],
-        proportionality=d_prop <= tol[0],
-        double_mass=d_mass <= tol[1],
-        deviations=(d_shift, d_prop, d_mass),
-        mass=mass,
-    )
+    """integral_conditions of the single function g."""
+    return integral_conditions(np.asarray(g)[None], inst)[0]
 
 
 def dalembert_admissible(g, inst: Instance) -> bool:
@@ -245,21 +250,11 @@ def dalembert_admissible(g, inst: Instance) -> bool:
     Raises EquivalenceViolation when the three conditions disagree, which for
     a genuine d'Alembert solution cannot happen.
     """
-    conds = dalembert_integral_conditions(g, inst)
-    if not conds.consistent:
-        raise EquivalenceViolation(
-            conds.tau_shift, conds.proportionality, conds.double_mass
-        )
-    return abs(conds.mass) > inst.mu.tolerance(ADMISSIBLE_TOL, 1) and conds.all_hold
+    return dalembert_integral_conditions(g, inst).admissible()
 
 
 # ---------------------------------------------------------------------------
 # identity suites
-
-def _worst_over_x(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    x = int(np.argmax(values))
-    return float(values[x]), (x,)
-
 
 # degree in mu of the terms each identity compares (f itself has degree 1):
 # the identity is checked against mu.tolerance(RESIDUAL_TOL, degree)
@@ -318,9 +313,11 @@ class SuiteReport:
         return not self.failures()
 
 
-def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:
-    """Identities every nonzero sine-type solution satisfies:
+def identity_suites(kind: str, F, inst: Instance) -> list[SuiteReport]:
+    """The identity suite of every row f of the (m, n) stack F, bit for bit as
+    alone, for kind van_vleck or kannappan.
 
+    van_vleck, every nonzero sine-type solution:
     odd_part:          f o tau = -f
     double_mass_plain: int int f(t s) dmu dmu = 0
     double_mass_tau:   int int f(tau(t) s) dmu dmu = 0
@@ -328,51 +325,56 @@ def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:
     sandwich_plain:    int int f(x t s)      = -f(x) int f dmu  for all x
     shift_symmetry:    int f(tau(x) t) dmu = int f(x t) dmu     for all x
     plus int f dmu != 0.
-    """
-    fa = np.asarray(f)
-    tau, mu = inst.tau, inst.mu
-    mass = total_mass_integral(fa, mu)
-    plain, tilted = _leads(inst)
-    r = right_integral_table(inst.sg, fa, mu)
-    checks = {
-        "odd_part": _worst_over_x(np.abs(fa + fa[tau.perm])),
-        "double_mass_plain": (abs(_double_mass(r, inst, plain)), ()),
-        "double_mass_tau": (abs(_double_mass(r, inst, tilted)), ()),
-        "sandwich_tau": _worst_over_x(
-            np.abs(_shifted_sums(r, inst, tilted) - fa * mass)
-        ),
-        "sandwich_plain": _worst_over_x(
-            np.abs(_shifted_sums(r, inst, plain) + fa * mass)
-        ),
-        "shift_symmetry": _worst_over_x(np.abs(r[tau.perm] - r)),
-    }
-    return SuiteReport.of(checks, mass, mass_required=True, mu=mu)
 
-
-def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
-    """Identities every cosine-type solution satisfies:
-
+    kannappan, every cosine-type solution:
     even_part:      f o tau = f
     sandwich_tau:   int int f(x tau(t) s) = f(x) int f dmu  for all x
     sandwich_plain: int int f(x t s)      = f(x) int f dmu  for all x
     plus int f dmu != 0 exactly when f != 0.
     """
-    fa = np.asarray(f)
-    tau, mu = inst.tau, inst.mu
-    mass = total_mass_integral(fa, mu)
+    F = np.asarray(F)
+    perm, mu = inst.tau.perm, inst.mu
     plain, tilted = _leads(inst)
-    r = right_integral_table(inst.sg, fa, mu)
-    checks = {
-        "even_part": _worst_over_x(np.abs(fa - fa[tau.perm])),
-        "sandwich_tau": _worst_over_x(
-            np.abs(_shifted_sums(r, inst, tilted) - fa * mass)
-        ),
-        "sandwich_plain": _worst_over_x(
-            np.abs(_shifted_sums(r, inst, plain) - fa * mass)
-        ),
-    }
-    required = max_abs(fa) > mu.tolerance(DEDUP_EPS, 1)
-    return SuiteReport.of(checks, mass, mass_required=required, mu=mu)
+    mass = atom_sum(F[:, plain], mu)
+    r = right_integral_table(inst.sg, F, mu)
+    f_mass = cmul(F, mass[:, None])
+    if kind == "van_vleck":
+        checks = {
+            "odd_part": F + F[:, perm],
+            "double_mass_plain": _double_mass(r, inst, plain),
+            "double_mass_tau": _double_mass(r, inst, tilted),
+            "sandwich_tau": _shifted_sums(r, inst, tilted) - f_mass,
+            "sandwich_plain": _shifted_sums(r, inst, plain) + f_mass,
+            "shift_symmetry": r[:, perm] - r,
+        }
+        required = [True] * len(F)
+    elif kind == "kannappan":
+        checks = {
+            "even_part": F - F[:, perm],
+            "sandwich_tau": _shifted_sums(r, inst, tilted) - f_mass,
+            "sandwich_plain": _shifted_sums(r, inst, plain) - f_mass,
+        }
+        required = (np.abs(F).max(axis=1) > mu.tolerance(DEDUP_EPS, 1)).tolist()
+    else:
+        raise ValueError(f"no identity suite for kind {kind!r}")
+    columns = [  # worst deviation over x and where, none for a double mass
+        zip(worst.tolist(), map(tuple, at.tolist()))
+        for worst, at in map(_worst_rows, checks.values())
+    ]
+    return [
+        SuiteReport.of(dict(zip(checks, row)), m, mass_required=req, mu=mu)
+        for m, req, *row in zip(mass.tolist(), required, *columns)
+    ]
+
+
+def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:
+    """identity_suites of the single sine-type solution f."""
+    return identity_suites("van_vleck", np.asarray(f)[None], inst)[0]
+
+
+def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
+    """identity_suites of the single cosine-type solution f."""
+    return identity_suites("kannappan", np.asarray(f)[None], inst)[0]
 
 
 @dataclass(frozen=True)
@@ -391,8 +393,6 @@ def associated_dalembert(f, inst: Instance) -> tuple[np.ndarray, TransformReport
         dalembert_residual=residual("dalembert", g, inst).max_abs,
         abelian=is_abelian_function(g, inst.sg),
         mean=total_mass_integral(g, inst.mu),
-        double_mass=_double_mass(
-            right_integral_table(inst.sg, g, inst.mu), inst, inst.mu.points
-        ),
+        double_mass=total_mass_integral(right_integral_table(inst.sg, g, inst.mu), inst.mu),
     )
     return g, report

@@ -1,10 +1,14 @@
 """Complex point measures supported on the center, and their integrals.
 
 A measure is a finite sum of weighted Dirac masses at central elements, so
-every integral below is an exact finite weighted sum.
+every integral below is an exact finite weighted sum.  Integrals are batched
+over the leading axes of f and add the atoms in order (atom_sum), so that a
+function's integral does not depend on the stack it sits in; OpenBLAS rounds
+a matrix-vector product differently depending on how many rows it gets.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,9 +32,9 @@ class CentralMeasure:
     def total_weight(self) -> complex:
         return complex(sum(self.weights))
 
-    @property
+    @functools.cached_property
     def total_variation(self) -> float:
-        """||mu|| = sum_i |w_i|; inf if the sum overflows."""
+        """||mu|| = sum_i |w_i|; inf if the sum overflows.  Computed once."""
         return sum((math.hypot(w.real, w.imag) for w in self.weights), 0.0)
 
     def tolerance(self, base, degree: int):
@@ -78,19 +82,38 @@ def central_measure(sg: FiniteSemigroup, atoms) -> CentralMeasure:
     return CentralMeasure(points=points, weights=weights)
 
 
+def cmul(a, b) -> np.ndarray:
+    """a * b rounded as Python's complex product: four real products and two
+    sums.  numpy's own product fuses a multiply and an add, on an operand
+    that depends on the operands' order, shapes and strides."""
+    re, im = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def atom_sum(values, mu: CentralMeasure) -> np.ndarray:
+    """sum_i w_i values[..., i] in atom order from 0, the Python sum.  With real
+    weights numpy's product rounds as cmul (one product of each part is an
+    exact zero) up to signs of zeros, which the sum from 0 drops."""
+    w = mu.weights
+    terms = values * w if not w.imag.any() else cmul(w, np.asarray(values))
+    out = np.zeros(terms.shape[:-1], dtype=np.complex128)
+    for i in range(terms.shape[-1]):
+        out += terms[..., i]
+    return out
+
+
 def right_integral_table(sg: FiniteSemigroup, f, mu: CentralMeasure) -> np.ndarray:
-    """Integrals of t -> f(x*t), i.e. sum_i w_i f(x * z_i), over all x.
-
-    Batched over the leading axes of f.
-    """
-    return np.asarray(f)[..., sg.cayley[:, mu.points]] @ mu.weights
+    """Integrals of t -> f(x*t), i.e. sum_i w_i f(x * z_i), over all x."""
+    return atom_sum(np.asarray(f)[..., sg.cayley[:, mu.points]], mu)
 
 
-def total_mass_integral(f, mu: CentralMeasure) -> complex:
-    """Integral of f itself: sum_i w_i f(z_i)."""
-    return sum(
-        (complex(w) * complex(f[z]) for z, w in zip(mu.points, mu.weights)), 0j
-    )
+def total_mass_integral(f, mu: CentralMeasure):
+    """Integral of f itself: sum_i w_i f(z_i).  A complex for one function,
+    an array of them for a stack."""
+    mass = atom_sum(np.asarray(f)[..., mu.points], mu)
+    return complex(mass) if mass.ndim == 0 else mass
 
 
 def pushforward_tau(

@@ -120,17 +120,27 @@ def center(sg: FiniteSemigroup) -> tuple[int, ...]:
 
 
 def orbit(sg: FiniteSemigroup, x: int) -> Orbit:
-    """Iterate powers of x until the first repeat."""
+    """The orbit of x, read from orbit_table."""
     if not 0 <= x < sg.order:
         raise EntryOutOfRange(f"element {x} outside [0, {sg.order})")
-    seen: dict[int, int] = {}
-    cur, k = x, 1
-    while cur not in seen:
-        seen[cur] = k
-        cur = sg.mul(cur, x)
-        k += 1
-    i = seen[cur]
-    return Orbit(element=x, index=i, period=k - i)
+    index, period = orbit_table(sg)
+    return Orbit(element=x, index=int(index[x]), period=int(period[x]))
+
+
+def orbit_table(sg: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
+    """(index, period) of every x as two arrays, from one walk of x^k, k <= 2n.
+    index + period <= n + 1, so x^n is on the cycle: the period is the least
+    p with x^(n+p) = x^n, the index the least i with x^(i+p) = x^i."""
+    n = sg.order
+    x = np.arange(n)
+    powers = np.empty((2 * n + 1, n), dtype=np.int64)  # powers[k] = x^k, k >= 1
+    powers[1] = x
+    for k in range(2, 2 * n + 1):
+        powers[k] = sg.cayley[powers[k - 1], x]
+    period = (powers[n + 1:] == powers[n]).argmax(axis=0) + 1
+    i = np.arange(1, n + 1)[:, None]
+    index = (powers[i + period, x] == powers[1:n + 1]).argmax(axis=0) + 1
+    return index, period
 
 
 def identity_of(sg: FiniteSemigroup) -> int | None:
@@ -139,10 +149,6 @@ def identity_of(sg: FiniteSemigroup) -> int | None:
     two_sided = (sg.cayley == n).all(axis=1) & (sg.cayley.T == n).all(axis=1)
     hits = np.flatnonzero(two_sided)
     return int(hits[0]) if hits.size else None
-
-
-def is_abelian(sg: FiniteSemigroup) -> bool:
-    return bool(np.array_equal(sg.cayley, sg.cayley.T))
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +195,8 @@ def cyclic_semigroup(index: int, period: int) -> FiniteSemigroup:
     if index < 1 or period < 1:
         raise ValueError("index and period must be positive")
     n = index + period - 1
-    t = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            e = (a + 1) + (b + 1)
-            if e > n:
-                e = index + (e - index) % period
-            t[a, b] = e - 1
-    return validate_semigroup(t)
+    e = np.add.outer(np.arange(1, n + 1), np.arange(1, n + 1))  # exponent of x^a x^b
+    return validate_semigroup(np.where(e > n, index + (e - index) % period, e) - 1)
 
 
 def identity_involution(sg: FiniteSemigroup) -> Involution:

@@ -7,6 +7,10 @@ back; each d'Alembert solution must solve the d'Alembert equation, and its
 three integral conditions must agree.  Each check that fails is recorded,
 none raises.
 
+The solutions of one kind are checked as one (m, n) stack, each check one
+call for the whole set, whose numbers for a member are those of the
+single-function calls (residual, van_vleck_identity_suite, ...).
+
 Residual tolerances are mu.tolerance(RESIDUAL_TOL, d) = RESIDUAL_TOL *
 ||mu||**d, with ||mu|| the total variation and d the degree in mu of the
 terms compared (a solution f has degree 1, the d'Alembert
@@ -17,20 +21,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import enumerate_multiplicative, max_abs_diff
-from .equations import SOLUTION_DEGREE, Instance, residual
-from .errors import EquivalenceViolation, ZeroDenominator
+import numpy as np
+
+from .equations import SOLUTION_DEGREE, Instance, residuals
+from .errors import EquivalenceViolation
 from .families import (
     ADMISSIBLE_TOL,
     RESIDUAL_TOL,
-    dalembert_admissible,
-    dalembert_integral_conditions,
+    character_integrals,
     dalembert_to_kannappan,
     family,
-    kannappan_identity_suite,
+    identity_suites,
+    integral_conditions,
     kannappan_to_dalembert,
-    van_vleck_identity_suite,
 )
+from .measures import total_mass_integral
 from .oracle import OracleConfig, oracle_solve
 
 
@@ -56,113 +61,91 @@ def verify_instance(
 ) -> VerifyReport:
     """Run every check on inst; mu.tolerance(tol, 1) is the mass a
     d'Alembert solution needs to be mapped forward through the bijection."""
-    chars = enumerate_multiplicative(inst.sg)
-    mu = inst.mu
+    integrals = character_integrals(inst)
+    mu, n = inst.mu, inst.sg.order
+    floor = mu.tolerance(ADMISSIBLE_TOL, 2)  # below it, int f dmu counts as zero
     failures: list[dict] = []
 
     def fail(identity, max_abs, provenance, index, argmax=()):
-        failures.append(
-            {
-                "argmax": list(argmax),
-                "identity": identity,
-                "max_abs": max_abs,
-                "provenance": provenance,
-                "solution_index": index,
-            }
-        )
+        failures.append({"argmax": list(argmax), "identity": identity, "max_abs": max_abs,
+                         "provenance": provenance, "solution_index": index})
 
     def solutions(kind):
-        found = oracle_solve(kind, inst, cfg)
-        return family(kind, inst, chars).solutions + found.solutions
+        sols = family(kind, inst, integrals=integrals).solutions
+        sols += oracle_solve(kind, inst, cfg).solutions
+        F = np.array([s.values for s in sols], dtype=np.complex128).reshape(len(sols), n)
+        return [s.provenance for s in sols], F
 
-    def suite_entries(kind, suite_fn, sols):
+    def suite_entries(kind, provenance, F):
+        eq_res, eq_at = residuals(kind, F, inst)
+        eq_tol = mu.tolerance(RESIDUAL_TOL, 2 * SOLUTION_DEGREE[kind])
         entries = []
-        for i, sol in enumerate(sols):
-            suite = suite_fn(sol.values, inst)
-            eq_res = residual(kind, sol.values, inst)
-            entries.append(
-                {
-                    "equation_residual": eq_res.max_abs,
-                    "identities": dict(suite.residuals),
-                    "mass": suite.mass,
-                    "provenance": sol.provenance,
-                    "solution_index": i,
-                }
-            )
-            if eq_res.max_abs > mu.tolerance(RESIDUAL_TOL, 2 * SOLUTION_DEGREE[kind]):
-                fail(f"{kind}_equation", eq_res.max_abs, sol.provenance, i, eq_res.argmax)
+        for i, (prov, suite, res, at) in enumerate(
+            zip(provenance, identity_suites(kind, F, inst), eq_res.tolist(), eq_at.tolist())
+        ):
+            entries.append({"equation_residual": res, "identities": dict(suite.residuals),
+                            "mass": suite.mass, "provenance": prov, "solution_index": i})
+            if res > eq_tol:
+                fail(f"{kind}_equation", res, prov, i, at)
                 continue
             for name in suite.failures():
-                dev, at = suite.residuals.get(name, 0.0), suite.argmax.get(name, ())
-                fail(name, dev, sol.provenance, i, at)
+                fail(name, suite.residuals.get(name, 0.0), prov, i, suite.argmax.get(name, ()))
         return entries
 
-    vv_entries = suite_entries("van_vleck", van_vleck_identity_suite, solutions("van_vleck"))
-    kan = solutions("kannappan")
-    kan_entries = suite_entries("kannappan", kannappan_identity_suite, kan)
+    vv_entries = suite_entries("van_vleck", *solutions("van_vleck"))
+    kan_prov, K = solutions("kannappan")
+    kan_entries = suite_entries("kannappan", kan_prov, K)
 
-    # bijection round-trips on the cosine-type solutions
-    roundtrip_back = 0.0
-    for i, sol in enumerate(kan):
-        try:
-            g = kannappan_to_dalembert(sol.values, inst)
-        except ZeroDenominator:
-            # a nonzero cosine-type solution must have nonzero mass
-            fail("nonzero_mass", 0.0, sol.provenance, i)
+    # bijection round-trips on the cosine-type solutions, which need a mass
+    live = np.abs(total_mass_integral(K, mu)) > floor
+    G = kannappan_to_dalembert(K[live], inst)
+    back = np.abs(dalembert_to_kannappan(G, inst) - K[live]).max(axis=1)
+    g_res, g_at = residuals("dalembert", G, inst)
+    rows = zip(integral_conditions(G, inst), g_res.tolist(), g_at.tolist(), back.tolist())
+    for i, (prov, ok_mass) in enumerate(zip(kan_prov, live.tolist())):
+        if not ok_mass:
+            fail("nonzero_mass", 0.0, prov, i)
             continue
-        g_res = residual("dalembert", g, inst)
+        conds, res, at, b = next(rows)
         try:
-            ok_member = dalembert_admissible(g, inst)
+            ok_member = conds.admissible()
         except EquivalenceViolation:
             ok_member = False
-        back = max_abs_diff(dalembert_to_kannappan(g, inst), sol.values)
-        roundtrip_back = max(roundtrip_back, back)
-        if g_res.max_abs > RESIDUAL_TOL or not ok_member or back > mu.tolerance(RESIDUAL_TOL, 1):
-            fail("bijection_inverse", max(g_res.max_abs, back), sol.provenance, i, g_res.argmax)
+        if res > RESIDUAL_TOL or not ok_member or b > mu.tolerance(RESIDUAL_TOL, 1):
+            fail("bijection_inverse", max(res, b), prov, i, at)
 
     # integral-condition equivalence and forward round-trips on the
     # d'Alembert solutions
+    dal_prov, D = solutions("dalembert")
+    conds = integral_conditions(D, inst)
+    d_res, d_at = residuals("dalembert", D, inst)
+    ahead = np.array([r <= RESIDUAL_TOL and c.consistent and c.admissible(tol)
+                      for c, r in zip(conds, d_res.tolist())], dtype=bool)
+    Fk = dalembert_to_kannappan(D[ahead], inst)
+    f_res, f_at = residuals("kannappan", Fk, inst)
+    f_live = np.abs(total_mass_integral(Fk, mu)) > floor  # else not a valid member
+    fwd_back = np.abs(kannappan_to_dalembert(Fk[f_live], inst) - D[ahead][f_live]).max(axis=1)
+    images = zip(f_live.tolist(), f_res.tolist(), f_at.tolist())
+    backs = iter(fwd_back.tolist())
     dal_entries = []
-    roundtrip_fwd = 0.0
-    for i, sol in enumerate(solutions("dalembert")):
-        g = sol.values
-        conds = dalembert_integral_conditions(g, inst)
-        dal_entries.append(
-            {
-                "conditions": {
-                    "double_mass": conds.double_mass,
-                    "proportionality": conds.proportionality,
-                    "tau_shift": conds.tau_shift,
-                },
-                "consistent": conds.consistent,
-                "mass": conds.mass,
-                "solution_index": i,
-            }
-        )
-        g_res = residual("dalembert", g, inst)
-        if g_res.max_abs > RESIDUAL_TOL:
-            fail("dalembert_equation", g_res.max_abs, sol.provenance, i, g_res.argmax)
-            continue
-        if not conds.consistent:
-            fail("integral_conditions_equivalence", max(conds.deviations), "dalembert", i)
-            continue
-        if abs(conds.mass) > mu.tolerance(tol, 1) and conds.all_hold:
-            f = dalembert_to_kannappan(g, inst)
-            f_res = residual("kannappan", f, inst)
-            try:
-                back = max_abs_diff(kannappan_to_dalembert(f, inst), g)
-            except ZeroDenominator:
-                # the forward image lost its mass: not a valid member
+    for i, (prov, c, res, at, go) in enumerate(
+        zip(dal_prov, conds, d_res.tolist(), d_at.tolist(), ahead.tolist())
+    ):
+        dal_entries.append({"conditions": {"double_mass": c.double_mass,
+                                           "proportionality": c.proportionality,
+                                           "tau_shift": c.tau_shift},
+                            "consistent": c.consistent, "mass": c.mass, "solution_index": i})
+        if res > RESIDUAL_TOL:
+            fail("dalembert_equation", res, prov, i, at)
+        elif not c.consistent:
+            fail("integral_conditions_equivalence", max(c.deviations), "dalembert", i)
+        elif go:
+            ok_mass, fr, fat = next(images)
+            b = next(backs) if ok_mass else 0.0
+            if not ok_mass:
                 fail("nonzero_mass", 0.0, "dalembert", i)
-                continue
-            roundtrip_fwd = max(roundtrip_fwd, back)
-            if f_res.max_abs > mu.tolerance(RESIDUAL_TOL, 2) or back > RESIDUAL_TOL:
-                fail("bijection_forward", max(f_res.max_abs, back), "dalembert", i, f_res.argmax)
+            elif fr > mu.tolerance(RESIDUAL_TOL, 2) or b > RESIDUAL_TOL:
+                fail("bijection_forward", max(fr, b), "dalembert", i, fat)
 
-    return VerifyReport(
-        van_vleck_suites=vv_entries,
-        kannappan_suites=kan_entries,
-        dalembert_conditions=dal_entries,
-        roundtrip_max={"backward": roundtrip_back, "forward": roundtrip_fwd},
-        failures=failures,
-    )
+    trips = {"backward": float(back.max(initial=0.0)), "forward": float(fwd_back.max(initial=0.0))}
+    return VerifyReport(vv_entries, kan_entries, dal_entries, trips, failures)

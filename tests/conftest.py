@@ -95,6 +95,28 @@ def build_grid() -> list[GridCase]:
     return cases
 
 
+def ladder_instances() -> dict[str, fl.Instance]:
+    """The larger groups of the benchmark's oracle ladder, n = 8..16, each
+    with group inversion and the measure the ladder gives it."""
+    z2, z3, z4 = fl.cyclic_group(2), fl.cyclic_group(3), fl.cyclic_group(4)
+    z4z4 = fl.direct_product(z4, z4)
+    z2_4 = fl.direct_product(fl.direct_product(fl.direct_product(z2, z2), z2), z2)
+    rows = {
+        "Z8/d2": (fl.cyclic_group(8), [(2, 1.0)]),
+        "Z3xZ3/de": (fl.direct_product(z3, z3), [(0, 1.0)]),
+        "S3xZ2/de": (fl.direct_product(fl.symmetric_group_3(), z2), [(0, 1.0)]),
+        "Z2xZ6/d0+2d3": (fl.direct_product(z2, fl.cyclic_group(6)), [(0, 1.0), (3, 2.0)]),
+        "Z13/d1": (fl.cyclic_group(13), [(1, 1.0)]),
+        "Z2^4/de": (z2_4, [(0, 1.0)]),
+        "Z4xZ4/d(1,0)": (z4z4, [(4, 1.0)]),
+        "Z4xZ4/w": (z4z4, [(0, 1 + 1j), (1, 2.0)]),
+    }
+    return {
+        name: fl.Instance(sg=sg, tau=fl.inverse_involution(sg), mu=fl.central_measure(sg, atoms))
+        for name, (sg, atoms) in rows.items()
+    }
+
+
 def pytest_configure(config):
     # an oracle run that stops certifying its roots errors out instead of
     # passing on a partial set; pytest.warns still captures the warning

@@ -10,7 +10,11 @@ the solvers have their one-member-at-a-time loops here: dedup_canonical_loop
 (a sort keyed by canonical_key, one distance per pair),
 enumerate_multiplicative_loop (one multiplicativity scan per root),
 match_solution_sets_loop (one distance per pair) and json_report (json's
-encoder with a default hook for complex values).
+encoder with a default hook for complex values).  orbit_walk follows the
+powers of one element; verify_instance_loop
+checks one solution at a time through the single-function calls (residual,
+the identity suites, the bijection maps), and closed_subspace_svd finds the
+closed subspace of the solver by SVD even where the symmetry forms vanish.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import json
 import numpy as np
 
 import feqlab as fl
-from feqlab.algebra import closed_system_roots
+from feqlab.algebra import _null_space, closed_system_roots
 from feqlab.characters import (
     DRAWS,
     MULT_TOL,
@@ -28,7 +32,18 @@ from feqlab.characters import (
     max_abs,
     max_abs_diff,
 )
-from feqlab.families import ADMISSIBLE_TOL, DEDUP_EPS
+from feqlab.equations import SOLUTION_DEGREE
+from feqlab.families import (
+    ADMISSIBLE_TOL,
+    DEDUP_EPS,
+    RESIDUAL_TOL,
+    dalembert_admissible,
+    dalembert_integral_conditions,
+    dalembert_to_kannappan,
+    kannappan_identity_suite,
+    kannappan_to_dalembert,
+    van_vleck_identity_suite,
+)
 from feqlab.oracle import MATCH_EPS, MatchResult
 
 
@@ -196,3 +211,146 @@ def _json_default(o):
 def json_report(obj) -> str:
     """A CLI report as json's own encoder writes it."""
     return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+
+
+def orbit_walk(sg: fl.FiniteSemigroup, x: int) -> fl.Orbit:
+    """The orbit of x from its powers, taken until the first repeat."""
+    seen: dict[int, int] = {}
+    cur, k = x, 1
+    while cur not in seen:
+        seen[cur] = k
+        cur = sg.mul(cur, x)
+        k += 1
+    i = seen[cur]
+    return fl.Orbit(element=x, index=i, period=k - i)
+
+
+def closed_subspace_svd(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The closed subspace N of closed_system_roots from the null space of
+    the symmetry forms, found by SVD also when they vanish, and the closure
+    loop run until it changes nothing."""
+    n = A.shape[1]
+    A3 = A.reshape(n, n, n)
+    forms = np.zeros((n * n, n + 1), dtype=A.dtype)
+    forms[:, 1:] = (A3 - A3.transpose(1, 0, 2)).reshape(n * n, n)
+    Q = _null_space(forms)
+    while Q.shape[1]:
+        outside = M @ Q
+        outside -= Q @ (Q.conj().T @ outside)
+        keep = _null_space(outside.reshape(-1, Q.shape[1]))
+        if keep.shape[1] == Q.shape[1]:
+            break
+        Q = Q @ keep
+    return Q
+
+
+def verify_instance_loop(
+    inst: fl.Instance, cfg: fl.OracleConfig | None = None, tol: float = ADMISSIBLE_TOL
+) -> fl.VerifyReport:
+    """verify_instance with one residual, suite and bijection call per
+    solution."""
+    chars = fl.enumerate_multiplicative(inst.sg)
+    mu = inst.mu
+    failures: list[dict] = []
+
+    def fail(identity, max_abs, provenance, index, argmax=()):
+        failures.append(
+            {
+                "argmax": list(argmax),
+                "identity": identity,
+                "max_abs": max_abs,
+                "provenance": provenance,
+                "solution_index": index,
+            }
+        )
+
+    def solutions(kind):
+        found = fl.oracle_solve(kind, inst, cfg)
+        return fl.family(kind, inst, chars).solutions + found.solutions
+
+    def suite_entries(kind, suite_fn, sols):
+        entries = []
+        for i, sol in enumerate(sols):
+            suite = suite_fn(sol.values, inst)
+            eq_res = fl.residual(kind, sol.values, inst)
+            entries.append(
+                {
+                    "equation_residual": eq_res.max_abs,
+                    "identities": dict(suite.residuals),
+                    "mass": suite.mass,
+                    "provenance": sol.provenance,
+                    "solution_index": i,
+                }
+            )
+            if eq_res.max_abs > mu.tolerance(RESIDUAL_TOL, 2 * SOLUTION_DEGREE[kind]):
+                fail(f"{kind}_equation", eq_res.max_abs, sol.provenance, i, eq_res.argmax)
+                continue
+            for name in suite.failures():
+                dev, at = suite.residuals.get(name, 0.0), suite.argmax.get(name, ())
+                fail(name, dev, sol.provenance, i, at)
+        return entries
+
+    vv_entries = suite_entries("van_vleck", van_vleck_identity_suite, solutions("van_vleck"))
+    kan = solutions("kannappan")
+    kan_entries = suite_entries("kannappan", kannappan_identity_suite, kan)
+
+    roundtrip_back = 0.0
+    for i, sol in enumerate(kan):
+        try:
+            g = kannappan_to_dalembert(sol.values, inst)
+        except fl.ZeroDenominator:
+            fail("nonzero_mass", 0.0, sol.provenance, i)
+            continue
+        g_res = fl.residual("dalembert", g, inst)
+        try:
+            ok_member = dalembert_admissible(g, inst)
+        except fl.EquivalenceViolation:
+            ok_member = False
+        back = max_abs_diff(dalembert_to_kannappan(g, inst), sol.values)
+        roundtrip_back = max(roundtrip_back, back)
+        if g_res.max_abs > RESIDUAL_TOL or not ok_member or back > mu.tolerance(RESIDUAL_TOL, 1):
+            fail("bijection_inverse", max(g_res.max_abs, back), sol.provenance, i, g_res.argmax)
+
+    dal_entries = []
+    roundtrip_fwd = 0.0
+    for i, sol in enumerate(solutions("dalembert")):
+        g = sol.values
+        conds = dalembert_integral_conditions(g, inst)
+        dal_entries.append(
+            {
+                "conditions": {
+                    "double_mass": conds.double_mass,
+                    "proportionality": conds.proportionality,
+                    "tau_shift": conds.tau_shift,
+                },
+                "consistent": conds.consistent,
+                "mass": conds.mass,
+                "solution_index": i,
+            }
+        )
+        g_res = fl.residual("dalembert", g, inst)
+        if g_res.max_abs > RESIDUAL_TOL:
+            fail("dalembert_equation", g_res.max_abs, sol.provenance, i, g_res.argmax)
+            continue
+        if not conds.consistent:
+            fail("integral_conditions_equivalence", max(conds.deviations), "dalembert", i)
+            continue
+        if abs(conds.mass) > mu.tolerance(tol, 1) and conds.all_hold:
+            f = dalembert_to_kannappan(g, inst)
+            f_res = fl.residual("kannappan", f, inst)
+            try:
+                back = max_abs_diff(kannappan_to_dalembert(f, inst), g)
+            except fl.ZeroDenominator:
+                fail("nonzero_mass", 0.0, "dalembert", i)
+                continue
+            roundtrip_fwd = max(roundtrip_fwd, back)
+            if f_res.max_abs > mu.tolerance(RESIDUAL_TOL, 2) or back > RESIDUAL_TOL:
+                fail("bijection_forward", max(f_res.max_abs, back), "dalembert", i, f_res.argmax)
+
+    return fl.VerifyReport(
+        van_vleck_suites=vv_entries,
+        kannappan_suites=kan_entries,
+        dalembert_conditions=dal_entries,
+        roundtrip_max={"backward": roundtrip_back, "forward": roundtrip_fwd},
+        failures=failures,
+    )

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 import feqlab as fl
+from feqlab import algebra
 from feqlab.algebra import closed_system_roots
+from feqlab.characters import DRAWS, ROOT_TOL
 from feqlab.equations import SOLUTION_DEGREE
 
 from conftest import nilpotent_monoid
+from scalar_reference import closed_subspace_svd
 
 
 def multiplicativity_matrix(sg):
@@ -57,3 +60,43 @@ class TestMultipleRoot:
         near = [f for f in roots if np.abs(f - expected).max() < 1e-6]
         assert len(near) == 1
         assert len(roots) == 3  # the zero function, (1, 0, ..., 0) and the constant 1
+
+
+def same_bits(a, b) -> bool:
+    (r1, e1, c1), (r2, e2, c2) = a, b
+    return (
+        r1.shape == r2.shape
+        and np.array_equal(r1.view(np.float64), r2.view(np.float64))
+        and np.array_equal(e1, e2)
+        and c1 == c2
+    )
+
+
+def grid_systems(grid):
+    """Every equation system of the grid, scaled as the oracle scales it, and
+    the multiplicativity system of each corpus semigroup, as (A, tol, draws)."""
+    for case in grid:
+        for kind in fl.KINDS:
+            A = fl.oracle.equation_matrix(kind, case.inst)
+            s = case.inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
+            yield A / s, fl.oracle.CONVERGE_TOL, fl.OracleConfig().restarts
+    for sg in {case.sg_name: case.inst.sg for case in grid}.values():
+        yield multiplicativity_matrix(sg), ROOT_TOL, DRAWS
+
+
+class TestSameBits:
+    def test_float_matrix_as_complex(self, corpus):
+        # enumerate_multiplicative passes a float 0/2 matrix
+        for sg in [*corpus.values(), nilpotent_monoid(3), fl.left_zero(3)]:
+            A = multiplicativity_matrix(sg)
+            assert same_bits(
+                closed_system_roots(A.real.copy(), ROOT_TOL, draws=DRAWS),
+                closed_system_roots(A, ROOT_TOL, draws=DRAWS),
+            )
+
+    def test_identity_basis_as_svd(self, grid, monkeypatch):
+        systems = list(grid_systems(grid))
+        shortcut = [closed_system_roots(A, tol, draws=draws) for A, tol, draws in systems]
+        monkeypatch.setattr(algebra, "_closed_subspace", closed_subspace_svd)
+        for (A, tol, draws), fast in zip(systems, shortcut):
+            assert same_bits(fast, closed_system_roots(A, tol, draws=draws))

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +332,38 @@ class TestDeterminism:
                 capsys, "solve", "kannappan", path, "--oracle", "--seed", "0"
             )
         assert outputs["1"] == outputs["4"]
+
+    def test_byte_identical_across_openblas_threads(self, tmp_path):
+        # FEQLAB_THREADS leaves the oracle alone; OpenBLAS threads would
+        # reach any sum left to BLAS, where rounding depends on the split
+        z4z4 = fl.direct_product(fl.cyclic_group(4), fl.cyclic_group(4))
+        weighted = [{"point": 0, "re": 1.0, "im": 1.0}, {"point": 1, "re": 2.0, "im": 0.0}]
+        big = write_spec(
+            tmp_path,
+            "z4xz4.json",
+            order=16,
+            cayley=z4z4.cayley.ravel().tolist(),
+            involution=fl.inverse_involution(z4z4).perm.tolist(),
+            measure=weighted,
+        )
+        requests = [
+            ["solve", "kannappan", big, "--oracle"],
+            ["verify-theorems", write_spec(tmp_path, "z4.json", measure=weighted)],
+        ]
+        src = Path(fl.__file__).resolve().parents[1]
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            outputs[threads] = [
+                subprocess.run(
+                    [sys.executable, "-m", "feqlab.cli", *argv],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                for argv in requests
+            ]
+        for one, two in zip(outputs["1"], outputs["2"]):
+            assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+            assert one.stdout == two.stdout
 
     @pytest.mark.parametrize(
         "argv",

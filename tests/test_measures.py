@@ -105,6 +105,50 @@ class TestTotalMass:
         assert fl.total_mass_integral(f, mu) == (0.5 - 2j) * (3 + 1j)
 
 
+    def test_total_variation_computed_once(self):
+        mu = z4_measure((0, 3 + 4j), (2, -2.0))
+        assert mu.tolerance(1.0, 1) == mu.total_variation == 7.0
+        assert vars(mu)["total_variation"] == 7.0  # cached on the measure
+
+
+def bits(z) -> list[int]:
+    """The bit patterns of complex values, signs of zeros included."""
+    return np.asarray(z, dtype=np.complex128).reshape(-1).view(np.uint64).tolist()
+
+
+class TestAtomOrder:
+    """Every row of a stack integrates to the Python sum of its atoms in
+    atom order, bit for bit, whatever the stack."""
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            z4_measure((0, 0.3 - 1.7j), (1, 1 + 1j), (3, -2.25 + 0.1j)),
+            z4_measure((0, 0.3), (1, -1.7), (3, 2.25)),  # real weights
+        ],
+        ids=["complex", "real"],
+    )
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_rows_are_python_sums(self, m, mu):
+        rng = np.random.default_rng(m)
+        F = rng.normal(size=(m, 4)) + 1j * rng.normal(size=(m, 4))
+        F[0, :2] = [-0.0, complex(-0.0, -0.0)]  # signed zeros
+        masses = fl.total_mass_integral(F, mu)
+        table = fl.measures.right_integral_table(Z4, F, mu)
+        for f, mass, row in zip(F, masses, table):
+            want = sum((complex(w) * complex(f[z]) for z, w in zip(mu.points, mu.weights)), 0j)
+            assert bits(mass) == bits(want) == bits(fl.total_mass_integral(f, mu))
+            assert bits(row) == bits([right_integral(Z4, f, mu, x) for x in range(4)])
+
+    def test_cmul_is_the_python_product(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=64) + 1j * rng.normal(size=64)
+        b = rng.normal(size=64) + 1j * rng.normal(size=64)
+        assert fl.measures.cmul(a, b).tolist() == [complex(x) * complex(y) for x, y in zip(a, b)]
+        # a strided or broadcast operand rounds the same way
+        assert np.array_equal(fl.measures.cmul(a[::2], b[0]), fl.measures.cmul(a, b[0])[::2])
+
+
 class TestPushforward:
     def test_symmetric_support_invariant(self):
         mu = z4_measure((1, 1.0), (3, 1.0))

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import feqlab as fl
 
-from conftest import involutions_for
+from conftest import involutions_for, nilpotent_monoid
+from scalar_reference import orbit_walk
 
 
 def brute_first_nonassociative(table) -> tuple[int, int, int] | None:
@@ -188,6 +189,35 @@ class TestOrbit:
                 i, p = orb.index, orb.period
                 for k in range(sg.order + 1):
                     assert sg.power(x, i + p + k) == sg.power(x, i + k)
+
+
+    @pytest.mark.parametrize(
+        "sg",
+        [
+            fl.cyclic_group(1),
+            fl.cyclic_group(12),
+            fl.cyclic_group(13),
+            fl.direct_product(fl.cyclic_group(4), fl.cyclic_group(4)),
+            fl.cyclic_semigroup(3, 4),
+            fl.cyclic_semigroup(5, 1),
+            fl.left_zero(3),
+            nilpotent_monoid(4),
+        ],
+        ids=["Z1", "Z12", "Z13", "Z4xZ4", "C(3,4)", "C(5,1)", "left_zero(3)", "nil(4)"],
+    )
+    def test_table_is_orbit_of_every_element(self, sg):
+        assert_table_is_orbits(sg)
+
+    def test_table_on_corpus(self, corpus):
+        for sg in corpus.values():
+            assert_table_is_orbits(sg)
+
+
+def assert_table_is_orbits(sg):
+    index, period = fl.orbit_table(sg)
+    want = [orbit_walk(sg, x) for x in range(sg.order)]
+    assert index.tolist() == [o.index for o in want]
+    assert period.tolist() == [o.period for o in want]
 
 
 class TestBuilders:

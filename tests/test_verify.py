@@ -1,16 +1,33 @@
-"""verify_instance as a library call."""
+"""verify_instance as a library call, checked set-at-a-time.
+
+verify_instance checks each kind's solutions as one stack; it must give
+what verify_instance_loop in scalar_reference.py gives one solution at a
+time, and each member's numbers must not depend on the stack it sits in.
+"""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 import feqlab as fl
 from feqlab import verify
-from feqlab.families import Solution, SolutionReport
+from feqlab.equations import residuals
+from feqlab.families import (
+    MU_DEGREE,
+    Solution,
+    SolutionReport,
+    identity_suites,
+    integral_conditions,
+)
+
+from conftest import build_grid, ladder_instances
+from scalar_reference import verify_instance_loop
 
 Z4 = fl.cyclic_group(4)
 Z4_D1 = fl.Instance(
     sg=Z4, tau=fl.inverse_involution(Z4), mu=fl.central_measure(Z4, [(1, 1.0)])
 )
+CASES = {case.name: case.inst for case in build_grid()} | ladder_instances()
 
 
 def test_passes_on_z4_d1():
@@ -38,3 +55,113 @@ def test_forged_family_lands_in_failures(monkeypatch):
     assert first["identity"] == "van_vleck_equation"
     assert (first["provenance"], first["solution_index"]) == ("constructed", 0)
     assert first["max_abs"] == report.van_vleck_suites[0]["equation_residual"] > 1
+
+
+def assert_same_report(got: fl.VerifyReport, want: fl.VerifyReport, mu: fl.CentralMeasure):
+    """Equal up to floats, which agree within 1e-13 * ||mu||^d for their
+    degree d in mu."""
+
+    def close(a, b, degree):
+        assert abs(a - b) <= mu.tolerance(1e-13, degree), (a, b)
+
+    assert got.passed == want.passed
+    for key in ("van_vleck_suites", "kannappan_suites"):
+        assert len(getattr(got, key)) == len(getattr(want, key))
+        for g, w in zip(getattr(got, key), getattr(want, key)):
+            assert g.keys() == w.keys() and g["identities"].keys() == w["identities"].keys()
+            assert (g["provenance"], g["solution_index"]) == (w["provenance"], w["solution_index"])
+            close(g["equation_residual"], w["equation_residual"], 2)
+            close(g["mass"], w["mass"], 2)
+            for name, dev in g["identities"].items():
+                close(dev, w["identities"][name], MU_DEGREE[name])
+    assert len(got.dalembert_conditions) == len(want.dalembert_conditions)
+    for g, w in zip(got.dalembert_conditions, want.dalembert_conditions):
+        assert {k: v for k, v in g.items() if k != "mass"} == {
+            k: v for k, v in w.items() if k != "mass"
+        }
+        close(g["mass"], w["mass"], 1)
+    assert got.roundtrip_max.keys() == want.roundtrip_max.keys()
+    close(got.roundtrip_max["backward"], want.roundtrip_max["backward"], 1)
+    close(got.roundtrip_max["forward"], want.roundtrip_max["forward"], 0)
+    assert len(got.failures) == len(want.failures)
+    for g, w in zip(got.failures, want.failures):
+        assert {k: v for k, v in g.items() if k != "max_abs"} == {
+            k: v for k, v in w.items() if k != "max_abs"
+        }
+        close(g["max_abs"], w["max_abs"], 3)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stack_matches_loop(name):
+    inst = CASES[name]
+    assert_same_report(fl.verify_instance(inst), verify_instance_loop(inst), inst.mu)
+
+
+def test_stack_matches_loop_on_failures(monkeypatch):
+    # forged members ahead of the real ones, so that the failure paths run:
+    # equations that fail, a cosine-type member of zero mass, and twice a
+    # real cosine-type member, whose round trip comes back halved
+    real = verify.family
+    cosine = real("kannappan", Z4_D1).solutions[0].values
+    forged = {
+        "van_vleck": [np.full(4, 7.0, dtype=complex)],
+        "kannappan": [np.array([1.0, 0.0, -1.0, 0.0], dtype=complex), 2 * cosine],
+        "dalembert": [np.array([1.0, 2.0, 1.0, 2.0], dtype=complex)],
+    }
+
+    def fake_family(kind, inst, chars=None, **kw):
+        members = tuple(
+            Solution(values=f, residual=0.0, provenance="constructed") for f in forged[kind]
+        )
+        found = real(kind, inst, chars, **kw).solutions
+        return SolutionReport(equation=kind, solutions=members + found)
+
+    monkeypatch.setattr(verify, "family", fake_family)
+    monkeypatch.setattr(fl, "family", fake_family)  # the loop's family
+    got, want = fl.verify_instance(Z4_D1), verify_instance_loop(Z4_D1)
+    assert {f["identity"] for f in got.failures} == {
+        "van_vleck_equation",
+        "kannappan_equation",
+        "nonzero_mass",
+        "bijection_inverse",
+        "dalembert_equation",
+    }
+    assert_same_report(got, want, Z4_D1.mu)
+
+
+WEIGHTED = [name for name in sorted(CASES) if "/w" in name]  # two atoms, complex weights
+
+
+def stacks(inst: fl.Instance, kind: str) -> np.ndarray:
+    sols = fl.family(kind, inst).solutions + fl.oracle_solve(kind, inst).solutions
+    return np.array([s.values for s in sols]).reshape(len(sols), inst.sg.order)
+
+
+@pytest.mark.parametrize("name", WEIGHTED)
+@pytest.mark.parametrize("kind", fl.KINDS)
+def test_member_numbers_do_not_depend_on_the_stack(name, kind):
+    inst = CASES[name]
+    F = stacks(inst, kind)
+    # the stack, its reverse, two copies and a strided view put each member
+    # at other offsets and strides
+    for S in (F, F[::-1], np.concatenate([F, F]), np.repeat(F, 2, axis=1)[:, ::2]):
+        res, at = residuals(kind, S, inst)
+        conds = integral_conditions(S, inst)
+        suites = identity_suites(kind, S, inst) if kind != "dalembert" else None
+        for i, f in enumerate(S.copy()):  # each member alone, as a fresh array
+            alone = fl.residual(kind, f, inst)
+            assert (alone.max_abs, alone.argmax) == (res[i], tuple(at[i]))
+            assert fl.dalembert_integral_conditions(f, inst) == conds[i]
+            if suites is not None:
+                suite_fn = {
+                    "van_vleck": fl.van_vleck_identity_suite,
+                    "kannappan": fl.kannappan_identity_suite,
+                }[kind]
+                assert suite_fn(f, inst) == suites[i]
+        if kind == "kannappan":
+            live = S[np.abs(fl.total_mass_integral(S, inst.mu)) > inst.mu.tolerance(1e-9, 2)]
+            G = fl.kannappan_to_dalembert(live, inst)
+            back = fl.dalembert_to_kannappan(G, inst)
+            for f, g, b in zip(live, G, back):
+                assert np.array_equal(fl.kannappan_to_dalembert(f, inst), g)
+                assert np.array_equal(fl.dalembert_to_kannappan(g, inst), b)
