@@ -112,15 +112,13 @@ def candidate_values(sg: FiniteSemigroup, x: int) -> np.ndarray:
     return _candidates(orbit(sg, x).period)
 
 
-def is_multiplicative(sg: FiniteSemigroup, chi, tol: float = MULT_TOL) -> bool:
+def is_multiplicative(sg: FiniteSemigroup, chi) -> bool:
     """Exact scan of chi(x*y) = chi(x) chi(y) over all pairs."""
     v = np.asarray(chi)
-    return bool(np.max(np.abs(v[sg.cayley] - np.outer(v, v))) <= tol)
+    return bool(np.max(np.abs(v[sg.cayley] - np.outer(v, v))) <= MULT_TOL)
 
 
-def enumerate_multiplicative(
-    sg: FiniteSemigroup, include_zero: bool = False, tol: float = MULT_TOL
-) -> list[np.ndarray]:
+def enumerate_multiplicative(sg: FiniteSemigroup, include_zero: bool = False) -> list[np.ndarray]:
     """All nonzero multiplicative functions, canonically ordered.
 
     Completeness rests on the certificate of closed_system_roots; when no
@@ -142,9 +140,9 @@ def enumerate_multiplicative(
         nearest = np.abs(roots[:, cols, None] - cands).argmin(axis=2)
         S[:, cols] = cands[nearest]
     deviation = np.abs(S[:, sg.cayley] - S[:, :, None] * S[:, None, :]).max(axis=(1, 2))
-    ok = deviation <= tol
+    ok = deviation <= MULT_TOL
     if not include_zero:
-        ok &= np.abs(S).max(axis=1) > tol
+        ok &= np.abs(S).max(axis=1) > MULT_TOL
     first: dict[bytes, int] = {}
     for i in np.flatnonzero(ok).tolist():
         first.setdefault(S[i].tobytes(), i)

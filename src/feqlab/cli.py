@@ -1,9 +1,9 @@
 """Command-line interface: file-based instances, JSON reports, stable exit codes.
 
-Exit codes: 0 success, 2 validation error (a refused option included),
-3 completeness mismatch, 4 theorem-suite failure.  All reports are
-key-sorted JSON on stdout; two runs with the same seed produce
-byte-identical output.
+Exit codes: 0 success, 2 validation error (a refused option included), 3
+completeness mismatch, 4 theorem-suite failure.  All reports are key-sorted
+JSON on stdout; two runs with the same seed produce byte-identical output.
+No option sets a tolerance: every threshold scales with ||mu||.
 
 Reports are written by _render, one pass over the report, with the bytes of
 json.dumps(report, indent=2, sort_keys=True).  It exists because on Python
@@ -221,16 +221,18 @@ def cmd_validate(args) -> int:
 
 def cmd_chars(args) -> int:
     inst, _ = load_instance_file(args.spec_file)
+    ci = character_integrals(inst)
+    kan, vv = ci.admissible("kannappan").tolist(), ci.admissible("van_vleck").tolist()
     entries = [
         {
             "index": k,
-            "int_mu": ci.int_mu,
-            "int_mu_tau": ci.int_mu_tau,
-            "kannappan_admissible": ci.kannappan_admissible(args.tol),
-            "values": ci.chi,
-            "van_vleck_admissible": ci.van_vleck_admissible(args.tol),
+            "int_mu": a,
+            "int_mu_tau": b,
+            "kannappan_admissible": kan[k],
+            "values": chi,
+            "van_vleck_admissible": vv[k],
         }
-        for k, ci in enumerate(character_integrals(inst))
+        for k, (chi, a, b) in enumerate(zip(ci.chars, ci.int_mu.tolist(), ci.int_mu_tau.tolist()))
     ]
     _emit({"characters": entries, "count": len(entries), "order": inst.sg.order})
     return EXIT_OK
@@ -239,7 +241,7 @@ def cmd_chars(args) -> int:
 def cmd_solve(args) -> int:
     inst, _ = load_instance_file(args.spec_file)
     kind = _KIND_BY_COMMAND[args.kind]
-    constructed = family(kind, inst, tol=args.tol)
+    constructed = family(kind, inst)
     out = {
         "equation": kind,
         "order": inst.sg.order,
@@ -278,7 +280,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst, _ = load_instance_file(args.spec_file)
-    report = verify_instance(inst, OracleConfig(rng_seed=args.seed), tol=args.tol)
+    report = verify_instance(inst, OracleConfig(rng_seed=args.seed))
     out = {
         "dalembert_conditions": report.dalembert_conditions,
         "kannappan_suites": report.kannappan_suites,
@@ -319,7 +321,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chars", help="enumerate multiplicative functions")
     p.add_argument("spec_file")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_chars)
 
     p = sub.add_parser("solve", help="construct (and optionally cross-check) a solution family")
@@ -327,14 +328,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("spec_file")
     p.add_argument("--oracle", action="store_true", help="also run the numeric oracle and compare")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--include-zero", action="store_true", help="append the zero solution to the report")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify-theorems", help="run all identity suites and bijection round-trips")
     p.add_argument("spec_file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -342,9 +341,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        tol = getattr(args, "tol", 1.0)
-        if not (math.isfinite(tol) and tol > 0):
-            raise OptionError(f"--tol must be finite and greater than 0, got {tol}")
         return args.func(args)
     except InvariantViolation as exc:
         _emit({"error": {"invariant": exc.invariant, "message": str(exc)}})

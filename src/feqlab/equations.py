@@ -154,9 +154,7 @@ def kannappan_condition_residual(f, inst: Instance) -> Residual:
     return _worst(dev)
 
 
-def is_abelian_function(
-    f, sg: FiniteSemigroup, depth: int = 3, tol: float = ABELIAN_TOL
-) -> bool:
+def is_abelian_function(f, sg: FiniteSemigroup, depth: int = 3) -> bool:
     """Invariance of f(x_1 ... x_d) under permuting the factors, d <= depth.
 
     Depth is capped at 3: that already separates every case in the test
@@ -167,11 +165,11 @@ def is_abelian_function(
     fa = np.asarray(f)
     t = sg.cayley
     pairs = fa[t]
-    if np.max(np.abs(pairs - pairs.T)) > tol:
+    if np.max(np.abs(pairs - pairs.T)) > ABELIAN_TOL:
         return False
     if depth == 3:
         triples = fa[t[t]]  # (x, y, z) -> f(x*y*z)
         for axes in permutations((0, 1, 2)):
-            if np.max(np.abs(triples.transpose(axes) - triples)) > tol:
+            if np.max(np.abs(triples.transpose(axes) - triples)) > ABELIAN_TOL:
                 return False
     return True

@@ -19,8 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .characters import compose_tau, dedup_canonical, enumerate_multiplicative
-from .equations import KINDS, SOLUTION_DEGREE, Instance, is_abelian_function, residual, residuals
+from .characters import dedup_canonical, enumerate_multiplicative
+from .equations import SOLUTION_DEGREE, Instance, is_abelian_function, residual, residuals
 from .equations import _worst_rows
 from .errors import EquivalenceViolation, ZeroDenominator
 from .measures import CentralMeasure, atom_sum, cmul, right_integral_table, total_mass_integral
@@ -35,22 +35,30 @@ DEDUP_EPS = 1e-8        # max-abs distance below which two functions coincide
 
 @dataclass(frozen=True, eq=False)
 class CharacterIntegrals:
-    """A multiplicative function with its two integrals against mu.  Both
-    are of degree 1 in mu, so the admissibility tests compare them with
-    mu.tolerance(tol, 1)."""
+    """The multiplicative functions as one (m, n) stack chars, with their two
+    integrals against mu, int chi dmu and int chi o tau dmu, each of shape
+    (m,).  Both are of degree 1 in mu, so admissibility compares them with
+    mu.tolerance(ADMISSIBLE_TOL, 1)."""
 
-    chi: np.ndarray
-    int_mu: complex       # int chi dmu
-    int_mu_tau: complex   # int chi o tau dmu
+    chars: np.ndarray
+    int_mu: np.ndarray       # int chi dmu
+    int_mu_tau: np.ndarray   # int chi o tau dmu
     mu: CentralMeasure
 
-    def van_vleck_admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
-        tol = self.mu.tolerance(tol, 1)
-        return abs(self.int_mu) > tol and abs(self.int_mu_tau + self.int_mu) < tol
-
-    def kannappan_admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
-        tol = self.mu.tolerance(tol, 1)
-        return abs(self.int_mu) > tol and abs(self.int_mu_tau - self.int_mu) < tol
+    def admissible(self, kind: str) -> np.ndarray:
+        """(m,) mask of the characters that build a member of kind: int chi
+        dmu nonzero and int chi o tau dmu = -int chi dmu (van_vleck) or
+        +int chi dmu (kannappan); every character for dalembert."""
+        if kind == "dalembert":
+            return np.ones(len(self.chars), dtype=bool)
+        if kind == "van_vleck":
+            gap = self.int_mu_tau + self.int_mu
+        elif kind == "kannappan":
+            gap = self.int_mu_tau - self.int_mu
+        else:
+            raise ValueError(f"unknown equation kind {kind!r}")
+        tol = self.mu.tolerance(ADMISSIBLE_TOL, 1)
+        return (np.abs(self.int_mu) > tol) & (np.abs(gap) < tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,61 +82,48 @@ class SolutionReport:
         return len(self.solutions)
 
 
-def character_integrals(inst: Instance, chars=None) -> list[CharacterIntegrals]:
-    """Both integrals of every multiplicative function, one stack at a time."""
+def character_integrals(inst: Instance, chars=None) -> CharacterIntegrals:
+    """Both integrals of every multiplicative function, as one stack."""
     if chars is None:
         chars = enumerate_multiplicative(inst.sg)
     X = np.array(chars, dtype=np.complex128).reshape(len(chars), inst.sg.order)
-    int_mu = total_mass_integral(X, inst.mu).tolist()
-    int_mu_tau = total_mass_integral(X[:, inst.tau.perm], inst.mu).tolist()
-    return [CharacterIntegrals(chi, a, b, inst.mu) for chi, a, b in zip(chars, int_mu, int_mu_tau)]
+    int_mu = total_mass_integral(X, inst.mu)
+    return CharacterIntegrals(X, int_mu, total_mass_integral(X[:, inst.tau.perm], inst.mu), inst.mu)
 
 
-def family(
-    kind: str, inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL, integrals=None
-) -> SolutionReport:
-    """Constructed solutions of one equation, one candidate per multiplicative
-    function chi (see the module docstring).  van_vleck: all nonzero solutions
-    (chi and chi o tau give the same member); kannappan: all nonzero abelian
-    solutions; dalembert: the abelian solutions (mu is ignored).  integrals
-    is character_integrals(inst, chars), if the caller has it."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown equation kind {kind!r}")
-    scale = inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
-    eps = inst.mu.tolerance(DEDUP_EPS, SOLUTION_DEGREE[kind])
+def family(kind: str, inst: Instance, chars=None, integrals=None) -> SolutionReport:
+    """Constructed solutions of one equation: one expression over the stack
+    of the characters that integrals.admissible(kind) keeps (see the module
+    docstring).  van_vleck: all nonzero solutions (chi and chi o tau give
+    the same member); kannappan: all nonzero abelian solutions; dalembert:
+    the abelian solutions (mu is ignored).  integrals is
+    character_integrals(inst, chars), if the caller has it."""
     if integrals is None:
         integrals = character_integrals(inst, chars)
-    funcs = []
-    for ci in integrals:
-        chi_tau = compose_tau(ci.chi, inst.tau)
-        if kind == "van_vleck":
-            if not ci.van_vleck_admissible(tol):
-                continue
-            f = 0.5 * (ci.chi - chi_tau) * ci.int_mu_tau
-        elif kind == "kannappan":
-            if not ci.kannappan_admissible(tol):
-                continue
-            f = 0.5 * (ci.chi + chi_tau) * ci.int_mu
-        else:
-            f = 0.5 * (ci.chi + chi_tau)
-        funcs.append(f)
-    F = np.array(funcs, dtype=np.complex128).reshape(len(funcs), inst.sg.order)
+    keep = integrals.admissible(kind)  # ValueError for an unknown kind
+    X, perm = integrals.chars, inst.tau.perm
+    if kind == "van_vleck":
+        F = 0.5 * (X - X[:, perm])[keep] * integrals.int_mu_tau[keep, None]
+    elif kind == "kannappan":
+        F = 0.5 * (X + X[:, perm])[keep] * integrals.int_mu[keep, None]
+    else:
+        F = 0.5 * (X + X[:, perm])
+    scale = inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
+    eps = inst.mu.tolerance(DEDUP_EPS, SOLUTION_DEGREE[kind])
     F = F[dedup_canonical(F, eps, scale)]
     res, _ = residuals(kind, F, inst)
     sols = tuple(Solution(f, r, "constructed") for f, r in zip(F, res.tolist()))
     return SolutionReport(equation=kind, solutions=sols)
 
 
-def van_vleck_family(inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL) -> SolutionReport:
+def van_vleck_family(inst: Instance, chars=None) -> SolutionReport:
     """All nonzero solutions of the sine-type equation."""
-    return family("van_vleck", inst, chars, tol)
+    return family("van_vleck", inst, chars)
 
 
-def kannappan_abelian_family(
-    inst: Instance, chars=None, tol: float = ADMISSIBLE_TOL
-) -> SolutionReport:
+def kannappan_abelian_family(inst: Instance, chars=None) -> SolutionReport:
     """All nonzero abelian solutions of the cosine-type equation."""
-    return family("kannappan", inst, chars, tol)
+    return family("kannappan", inst, chars)
 
 
 def dalembert_abelian_family(sg: FiniteSemigroup, tau: Involution, chars=None) -> list[np.ndarray]:
@@ -210,11 +205,11 @@ class DalembertConditions:
     def all_hold(self) -> bool:
         return self.tau_shift and self.proportionality and self.double_mass
 
-    def admissible(self, tol: float = ADMISSIBLE_TOL) -> bool:
-        """A mass above mu.tolerance(tol, 1) and all three conditions."""
+    def admissible(self) -> bool:
+        """A mass above mu.tolerance(ADMISSIBLE_TOL, 1) and all three conditions."""
         if not self.consistent:
             raise EquivalenceViolation(self.tau_shift, self.proportionality, self.double_mass)
-        return abs(self.mass) > self.mu.tolerance(tol, 1) and self.all_hold
+        return abs(self.mass) > self.mu.tolerance(ADMISSIBLE_TOL, 1) and self.all_hold
 
 
 def integral_conditions(G, inst: Instance) -> list[DalembertConditions]:

@@ -11,11 +11,11 @@ The solutions of one kind are checked as one (m, n) stack, each check one
 call for the whole set, whose numbers for a member are those of the
 single-function calls (residual, van_vleck_identity_suite, ...).
 
-Residual tolerances are mu.tolerance(RESIDUAL_TOL, d) = RESIDUAL_TOL *
-||mu||**d, with ||mu|| the total variation and d the degree in mu of the
-terms compared (a solution f has degree 1, the d'Alembert
-g = int f(x t) dmu / int f dmu degree 0), so neither a heavy nor a light
-measure turns rounding into a reported failure or hides a real one.
+Tolerances are mu.tolerance(TOL, d) = TOL * ||mu||**d, for the constants
+TOL = RESIDUAL_TOL and ADMISSIBLE_TOL, ||mu|| the total variation and d the
+degree in mu of the terms compared (a solution f has degree 1, the
+d'Alembert g = int f(x t) dmu / int f dmu degree 0), so neither a heavy nor
+a light measure turns rounding into a reported failure or hides a real one.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import SOLUTION_DEGREE, Instance, residuals
-from .errors import EquivalenceViolation
 from .families import (
     ADMISSIBLE_TOL,
     RESIDUAL_TOL,
@@ -56,11 +55,8 @@ class VerifyReport:
         return not self.failures
 
 
-def verify_instance(
-    inst: Instance, cfg: OracleConfig | None = None, tol: float = ADMISSIBLE_TOL
-) -> VerifyReport:
-    """Run every check on inst; mu.tolerance(tol, 1) is the mass a
-    d'Alembert solution needs to be mapped forward through the bijection."""
+def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyReport:
+    """Run every check on inst."""
     integrals = character_integrals(inst)
     mu, n = inst.mu, inst.sg.order
     floor = mu.tolerance(ADMISSIBLE_TOL, 2)  # below it, int f dmu counts as zero
@@ -107,10 +103,7 @@ def verify_instance(
             fail("nonzero_mass", 0.0, prov, i)
             continue
         conds, res, at, b = next(rows)
-        try:
-            ok_member = conds.admissible()
-        except EquivalenceViolation:
-            ok_member = False
+        ok_member = conds.consistent and conds.admissible()
         if res > RESIDUAL_TOL or not ok_member or b > mu.tolerance(RESIDUAL_TOL, 1):
             fail("bijection_inverse", max(res, b), prov, i, at)
 
@@ -119,7 +112,7 @@ def verify_instance(
     dal_prov, D = solutions("dalembert")
     conds = integral_conditions(D, inst)
     d_res, d_at = residuals("dalembert", D, inst)
-    ahead = np.array([r <= RESIDUAL_TOL and c.consistent and c.admissible(tol)
+    ahead = np.array([r <= RESIDUAL_TOL and c.consistent and c.admissible()
                       for c, r in zip(conds, d_res.tolist())], dtype=bool)
     Fk = dalembert_to_kannappan(D[ahead], inst)
     f_res, f_at = residuals("kannappan", Fk, inst)

@@ -5,7 +5,9 @@ inner sum of double_integral reuses right_integral verbatim, so the
 finite-sum Fubini identity holds exactly, not merely within rounding.
 equation_matrix_add_at assembles each equation's linear part term by term
 with np.add.at.  van_vleck_family_dirac is the sine family specialized to a unit point mass,
-a cross-check of the general construction.  The set-at-a-time steps after
+a cross-check of the general construction, and family_loop builds each
+family one multiplicative function at a time, with the per-character
+admissibility predicates of CharacterIntegral.  The set-at-a-time steps after
 the solvers have their one-member-at-a-time loops here: dedup_canonical_loop
 (a sort keyed by canonical_key, one distance per pair),
 enumerate_multiplicative_loop (one multiplicativity scan per root),
@@ -19,6 +21,7 @@ closed subspace of the solver by SVD even where the symmetry forms vanish.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +32,11 @@ from feqlab.characters import (
     MULT_TOL,
     ROOT_TOL,
     canonical_key,
+    dedup_canonical,
     max_abs,
     max_abs_diff,
 )
-from feqlab.equations import SOLUTION_DEGREE
+from feqlab.equations import SOLUTION_DEGREE, residuals
 from feqlab.families import (
     ADMISSIBLE_TOL,
     DEDUP_EPS,
@@ -138,6 +142,62 @@ def van_vleck_family_dirac(
     return fl.SolutionReport(equation="van_vleck", solutions=sols)
 
 
+@dataclass(frozen=True, eq=False)
+class CharacterIntegral:
+    """One multiplicative function with its two integrals against mu and
+    the admissibility predicates of the two integral equations."""
+
+    chi: np.ndarray
+    int_mu: complex       # int chi dmu
+    int_mu_tau: complex   # int chi o tau dmu
+    mu: fl.CentralMeasure
+
+    def van_vleck_admissible(self) -> bool:
+        tol = self.mu.tolerance(ADMISSIBLE_TOL, 1)
+        return abs(self.int_mu) > tol and abs(self.int_mu_tau + self.int_mu) < tol
+
+    def kannappan_admissible(self) -> bool:
+        tol = self.mu.tolerance(ADMISSIBLE_TOL, 1)
+        return abs(self.int_mu) > tol and abs(self.int_mu_tau - self.int_mu) < tol
+
+
+def character_integral_loop(inst: fl.Instance, chars) -> list[CharacterIntegral]:
+    """Both integrals of each multiplicative function, one function at a time."""
+    mu = inst.mu
+    return [
+        CharacterIntegral(chi, fl.total_mass_integral(chi, mu),
+                          fl.total_mass_integral(fl.compose_tau(chi, inst.tau), mu), mu)
+        for chi in chars
+    ]
+
+
+def family_loop(kind: str, inst: fl.Instance, chars=None) -> fl.SolutionReport:
+    """family with one candidate member built per multiplicative function,
+    each tested by its own admissibility predicate."""
+    if chars is None:
+        chars = fl.enumerate_multiplicative(inst.sg)
+    funcs = []
+    for ci in character_integral_loop(inst, chars):
+        chi_tau = fl.compose_tau(ci.chi, inst.tau)
+        if kind == "van_vleck":
+            if not ci.van_vleck_admissible():
+                continue
+            f = 0.5 * (ci.chi - chi_tau) * ci.int_mu_tau
+        elif kind == "kannappan":
+            if not ci.kannappan_admissible():
+                continue
+            f = 0.5 * (ci.chi + chi_tau) * ci.int_mu
+        else:
+            f = 0.5 * (ci.chi + chi_tau)
+        funcs.append(f)
+    F = np.array(funcs, dtype=np.complex128).reshape(len(funcs), inst.sg.order)
+    degree = SOLUTION_DEGREE[kind]
+    F = F[dedup_canonical(F, inst.mu.tolerance(DEDUP_EPS, degree), inst.mu.tolerance(1.0, degree))]
+    res, _ = residuals(kind, F, inst)
+    sols = tuple(fl.Solution(f, r, "constructed") for f, r in zip(F, res.tolist()))
+    return fl.SolutionReport(equation=kind, solutions=sols)
+
+
 def dedup_canonical_loop(funcs, eps: float, scale: float = 1.0) -> list[np.ndarray]:
     """Canonically sorted, without near-zero functions and near-duplicates
     (max-abs distance <= eps), keeping for each cluster the canonically
@@ -150,7 +210,7 @@ def dedup_canonical_loop(funcs, eps: float, scale: float = 1.0) -> list[np.ndarr
 
 
 def enumerate_multiplicative_loop(
-    sg: fl.FiniteSemigroup, include_zero: bool = False, tol: float = MULT_TOL
+    sg: fl.FiniteSemigroup, include_zero: bool = False
 ) -> list[np.ndarray]:
     """enumerate_multiplicative with one is_multiplicative scan per snapped
     root and exact repeats dropped through a dict of their bytes."""
@@ -165,7 +225,7 @@ def enumerate_multiplicative_loop(
         snapped[:, x] = cands[nearest]
     found: dict[bytes, np.ndarray] = {}
     for chi in snapped:
-        if fl.is_multiplicative(sg, chi, tol) and (include_zero or max_abs(chi) > tol):
+        if fl.is_multiplicative(sg, chi) and (include_zero or max_abs(chi) > MULT_TOL):
             found.setdefault(chi.tobytes(), chi)
     return sorted(found.values(), key=canonical_key)
 
@@ -245,7 +305,7 @@ def closed_subspace_svd(A: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def verify_instance_loop(
-    inst: fl.Instance, cfg: fl.OracleConfig | None = None, tol: float = ADMISSIBLE_TOL
+    inst: fl.Instance, cfg: fl.OracleConfig | None = None
 ) -> fl.VerifyReport:
     """verify_instance with one residual, suite and bijection call per
     solution."""
@@ -335,7 +395,7 @@ def verify_instance_loop(
         if not conds.consistent:
             fail("integral_conditions_equivalence", max(conds.deviations), "dalembert", i)
             continue
-        if abs(conds.mass) > mu.tolerance(tol, 1) and conds.all_hold:
+        if abs(conds.mass) > mu.tolerance(ADMISSIBLE_TOL, 1) and conds.all_hold:
             f = dalembert_to_kannappan(g, inst)
             f_res = fl.residual("kannappan", f, inst)
             try:

@@ -1,0 +1,118 @@
+"""Admissibility decided once on the stack of characters, at one constant.
+
+family builds each equation's members as one stack; it must give the bytes
+of family_loop in scalar_reference.py, which builds one member per
+character, and CharacterIntegrals.admissible must give the per-character
+predicates.  No public function or method takes a tolerance parameter.
+"""
+from __future__ import annotations
+
+import dataclasses
+import functools
+import inspect
+
+import numpy as np
+import pytest
+
+import feqlab as fl
+
+from conftest import build_grid, ladder_instances
+from scalar_reference import CharacterIntegral, character_integral_loop, family_loop
+
+CASES = {case.name: case.inst for case in build_grid()} | ladder_instances()
+
+
+@functools.cache
+def chars_of(name: str) -> list[np.ndarray]:
+    return fl.enumerate_multiplicative(CASES[name].sg)
+
+
+def test_case_count():
+    assert len(CASES) == 86
+
+
+@pytest.mark.parametrize("kind", fl.KINDS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_family_matches_loop_bit_for_bit(name, kind):
+    inst = CASES[name]
+    chars = chars_of(name)
+    got, want = fl.family(kind, inst, chars), family_loop(kind, inst, chars)
+    stack = lambda rep: np.array(rep.values(), dtype=np.complex128).reshape(len(rep), inst.sg.order)
+    assert len(got) == len(want)
+    assert stack(got).tobytes() == stack(want).tobytes()
+    assert [s.residual for s in got.solutions] == [s.residual for s in want.solutions]
+    assert {s.provenance for s in got.solutions} <= {"constructed"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_admissible_masks_match_predicates(name):
+    inst = CASES[name]
+    chars = chars_of(name)
+    stacked = fl.character_integrals(inst, chars)
+    loop = character_integral_loop(inst, chars)
+    assert stacked.chars.shape == (len(chars), inst.sg.order)
+    assert stacked.int_mu.tolist() == [ci.int_mu for ci in loop]
+    assert stacked.int_mu_tau.tolist() == [ci.int_mu_tau for ci in loop]
+    assert stacked.admissible("van_vleck").tolist() == [ci.van_vleck_admissible() for ci in loop]
+    assert stacked.admissible("kannappan").tolist() == [ci.kannappan_admissible() for ci in loop]
+    assert stacked.admissible("dalembert").tolist() == [True] * len(loop)
+
+
+def test_admissible_masks_match_predicates_at_the_boundary():
+    # t = 1e-9 * ||mu||; every difference below is exact, so each integral
+    # sits on a tolerance: a nonzero integral must exceed t, and int chi o tau
+    # dmu must lie strictly within t of -int chi dmu (Van Vleck) or of
+    # +int chi dmu (Kannappan)
+    inst = CASES["Z2/inv/d0"]
+    t = inst.mu.tolerance(1e-9, 1)
+    int_mu = np.array([2 * t, t, 2 * t, t, 1.0], dtype=complex)
+    int_mu_tau = np.array([-t, -t, t, t, -1.0], dtype=complex)
+    stacked = fl.CharacterIntegrals(np.ones((5, 2), complex), int_mu, int_mu_tau, inst.mu)
+    loop = [CharacterIntegral(np.ones(2), a, b, inst.mu)
+            for a, b in zip(int_mu.tolist(), int_mu_tau.tolist())]
+    assert stacked.admissible("van_vleck").tolist() == [ci.van_vleck_admissible() for ci in loop]
+    assert stacked.admissible("kannappan").tolist() == [ci.kannappan_admissible() for ci in loop]
+    assert stacked.admissible("van_vleck").tolist() == [False] * 4 + [True]
+    assert stacked.admissible("kannappan").tolist() == [False] * 5
+
+
+@pytest.mark.parametrize("kind, column", [("van_vleck", "int_mu_tau"), ("kannappan", "int_mu")])
+def test_members_carry_the_integral_of_their_kind(kind, column):
+    # sine members scale by int chi o tau dmu, cosine members by int chi dmu;
+    # moving that integral by a relative 2^-40 moves every member with it
+    inst = CASES["Z4/inv/d1"]
+    ci = fl.character_integrals(inst)
+    bumped = dataclasses.replace(ci, **{column: getattr(ci, column) * (1 + 2**-40)})
+    base, got = fl.family(kind, inst, integrals=ci), fl.family(kind, inst, integrals=bumped)
+    assert len(got) == len(base) > 0
+    for a, b in zip(base.values(), got.values()):
+        assert not np.array_equal(a, b)
+        assert np.abs(b - a * (1 + 2**-40)).max() <= 1e-15
+
+
+def test_admissible_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        fl.character_integrals(CASES["Z4/inv/d1"]).admissible("sine")
+
+
+def public_callables():
+    """The public functions of feqlab and the methods of its public classes."""
+    for name, obj in vars(fl).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if attr.startswith("_"):
+                    continue
+                if inspect.isfunction(member) or inspect.ismethod(member):
+                    yield f"{name}.{attr}", member
+        elif callable(obj):
+            yield name, obj
+
+
+def test_no_public_name_takes_a_tolerance():
+    names = dict(public_callables())
+    assert "family" in names and "CharacterIntegrals.admissible" in names
+    knobs = [name for name, fn in names.items() if "tol" in inspect.signature(fn).parameters]
+    assert knobs == []

@@ -427,11 +427,14 @@ class TestHardening:
             ("solve", "sine", "SPEC"),
             ("validate", "SPEC", "--oracle"),
             (),
+            ("chars", "SPEC", "--tol", "1e-9"),
+            ("solve", "vanvleck", "SPEC", "--tol", "1e-9"),
+            ("verify-theorems", "SPEC", "--tol", "1e-9"),
         ],
         ids=[
             "seed-not-int", "seed-float", "tol-two-tokens", "tol-minus-inf",
             "missing-spec-file", "unknown-command", "unknown-kind", "unknown-flag",
-            "no-command",
+            "no-command", "tol-chars", "tol-solve", "tol-verify-theorems",
         ],
     )
     def test_refused_options_exit_2_as_json(self, tmp_path, capsys, argv):
