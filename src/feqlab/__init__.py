@@ -1,32 +1,18 @@
 """feqlab: solution sets of integral Van Vleck and Kannappan functional
 equations on finite semigroups with involution and central point measures."""
 
-from .characters import (
-    as_cfunc,
-    candidate_values,
-    canonical_key,
-    compose_tau,
-    enumerate_multiplicative,
-    is_multiplicative,
-)
+from .characters import enumerate_multiplicative
 from .equations import (
     KINDS,
     Instance,
     Residual,
-    is_abelian_function,
-    kannappan_condition_residual,
     linear_part,
     residual,
-    residual_dalembert,
-    residual_kannappan,
-    residual_mu_spherical,
-    residual_van_vleck,
 )
 from .errors import (
     EntryOutOfRange,
     EquivalenceViolation,
     FeqlabError,
-    InvalidEnvironment,
     InvalidMeasure,
     InvariantViolation,
     NotAntiHomomorphism,
@@ -39,7 +25,6 @@ from .families import (
     CharacterIntegrals,
     Solution,
     SolutionReport,
-    associated_dalembert,
     character_integrals,
     dalembert_abelian_family,
     dalembert_admissible,
@@ -69,7 +54,6 @@ from .oracle import (
 from .semigroups import (
     FiniteSemigroup,
     Involution,
-    Orbit,
     center,
     cyclic_group,
     cyclic_semigroup,
@@ -78,7 +62,6 @@ from .semigroups import (
     identity_of,
     inverse_involution,
     left_zero,
-    orbit,
     orbit_table,
     symmetric_group_3,
     validate_involution,

@@ -20,24 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import closed_system_roots
-from .semigroups import FiniteSemigroup, Involution, orbit, orbit_table
+from .semigroups import FiniteSemigroup, orbit_table
 
 MULT_TOL = 1e-12     # absolute slack for the exact multiplicativity scan
 CANON_DECIMALS = 8   # rounding used by the canonical order and dedup
 ROOT_TOL = 1e-9      # residual check of the numeric roots before snapping
 DRAWS = 8            # combinations drawn at most while the certificate fails
-
-
-def as_cfunc(values, order: int) -> np.ndarray:
-    """Validate and freeze a total complex-valued function on S."""
-    f = np.asarray(values, dtype=np.complex128)
-    if f.shape != (order,):
-        raise ValueError(f"expected {order} values, got shape {f.shape}")
-    if not np.all(np.isfinite(f.real) & np.isfinite(f.imag)):
-        raise ValueError("function values must be finite")
-    f = f.copy()
-    f.setflags(write=False)
-    return f
 
 
 def _rounded_parts(F, scale: float) -> np.ndarray:
@@ -50,28 +38,14 @@ def _rounded_parts(F, scale: float) -> np.ndarray:
     return np.round(parts, CANON_DECIMALS) + 0.0
 
 
-def canonical_key(f, scale: float = 1.0) -> tuple[tuple[float, float], ...]:
-    """Lexicographic sort key: (Re, Im) of f / scale per index, rounded at
-    1e-8."""
-    r = _rounded_parts(f, scale).tolist()
-    return tuple(zip(r[0::2], r[1::2]))
-
-
 def canonical_order(F, scale: float = 1.0) -> np.ndarray:
-    """Row indices of the (m, n) stack F in canonical order: the stable
-    order of sorted(F, key=lambda f: canonical_key(f, scale)), from one
-    lexsort.  scale is the size of the solutions (a power of ||mu||), so
-    the order does not depend on the size of the measure."""
+    """Row indices of the (m, n) stack F in canonical order: a stable sort
+    by the (Re, Im) parts of f / scale per index, rounded at 1e-8 and
+    compared lexicographically, from one lexsort.  scale is the size of the
+    solutions (a power of ||mu||), so the order does not depend on the size
+    of the measure."""
     parts = _rounded_parts(F, scale)
     return np.lexsort(parts.T[::-1])
-
-
-def max_abs(f) -> float:
-    return float(np.max(np.abs(np.asarray(f))))
-
-
-def max_abs_diff(a, b) -> float:
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
 def max_abs_distances(A, B) -> np.ndarray:
@@ -107,17 +81,6 @@ def _candidates(p: int) -> np.ndarray:
     return np.concatenate(([0j], np.exp(2j * np.pi * np.arange(p) / p)))
 
 
-def candidate_values(sg: FiniteSemigroup, x: int) -> np.ndarray:
-    """{0} plus the p-th roots of unity, p the orbit period of x."""
-    return _candidates(orbit(sg, x).period)
-
-
-def is_multiplicative(sg: FiniteSemigroup, chi) -> bool:
-    """Exact scan of chi(x*y) = chi(x) chi(y) over all pairs."""
-    v = np.asarray(chi)
-    return bool(np.max(np.abs(v[sg.cayley] - np.outer(v, v))) <= MULT_TOL)
-
-
 def enumerate_multiplicative(sg: FiniteSemigroup, include_zero: bool = False) -> list[np.ndarray]:
     """All nonzero multiplicative functions, canonically ordered.
 
@@ -151,10 +114,3 @@ def enumerate_multiplicative(sg: FiniteSemigroup, include_zero: bool = False) ->
     S.setflags(write=False)
     return list(S)
 
-
-def compose_tau(chi, tau: Involution) -> np.ndarray:
-    """chi o tau; multiplicative again, since tau anti-commutes into the
-    commutative target."""
-    out = np.asarray(chi, dtype=np.complex128)[tau.perm].copy()
-    out.setflags(write=False)
-    return out

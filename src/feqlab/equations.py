@@ -1,21 +1,20 @@
-"""Residual evaluators for every functional equation handled by the package.
+"""The residual of every functional equation handled by the package.
 
-Each evaluator scans all argument tuples of its equation and reports the
-worst absolute deviation together with where it happened.  Everything is an
-exact finite computation in complex double precision.
+Each equation is its linear part minus 2 f(x) f(y); the residual scans all
+pairs (x, y) and reports the worst absolute deviation together with where
+it happened.  Everything is an exact finite computation in complex double
+precision.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .measures import CentralMeasure, cmul, right_integral_table
 from .semigroups import FiniteSemigroup, Involution, center, validate_involution
 
-ABELIAN_TOL = 1e-12
 # degree in mu of each equation's solutions: f solves the Van Vleck or
 # Kannappan equation for mu exactly when lam f solves it for lam mu, and
 # d'Alembert's equation ignores mu
@@ -65,11 +64,6 @@ def _worst_rows(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mags[np.arange(len(k)), k], np.array(at, dtype=np.intp).reshape(dev.ndim - 1, len(k)).T
 
 
-def _worst(dev: np.ndarray) -> Residual:
-    worst, at = _worst_rows(dev[None])
-    return Residual(float(worst[0]), tuple(at[0].tolist()))
-
-
 def linear_part(
     kind: str, F, sg: FiniteSemigroup, tau: Involution, mu: CentralMeasure | None = None
 ) -> np.ndarray:
@@ -108,68 +102,5 @@ def residual(kind: str, f, inst: Instance) -> Residual:
     kannappan: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)
     dalembert: g(xy) + g(x tau(y)) = 2 g(x) g(y)   (mu is ignored)
     """
-    return _worst(_deviation(kind, f, inst.sg, inst.tau, inst.mu))
-
-
-def residual_van_vleck(f, inst: Instance) -> Residual:
-    """Sine-type equation: int f(x tau(y) t) - int f(x y t) = 2 f(x) f(y)."""
-    return residual("van_vleck", f, inst)
-
-
-def residual_kannappan(f, inst: Instance) -> Residual:
-    """Cosine-type equation: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)."""
-    return residual("kannappan", f, inst)
-
-
-def residual_dalembert(g, sg: FiniteSemigroup, tau: Involution) -> Residual:
-    """Classic d'Alembert equation: g(xy) + g(x tau(y)) = 2 g(x) g(y)."""
-    return _worst(_deviation("dalembert", g, sg, tau))
-
-
-def residual_mu_spherical(psi, inst: Instance) -> Residual:
-    """Spherical-function equation: int psi(x t y) dmu(t) = psi(x) psi(y)."""
-    pa = np.asarray(psi)
-    t = inst.sg.cayley
-    mid = t[:, inst.mu.points]            # (x, i) -> x * z_i
-    vals = pa[t[mid]]                     # (x, i, y) -> psi(x * z_i * y)
-    lhs = np.einsum("i,xiy->xy", inst.mu.weights, vals)
-    return _worst(lhs - np.outer(pa, pa))
-
-
-def kannappan_condition_residual(f, inst: Instance) -> Residual:
-    """Deviation of the double-integral swap condition over all (x, y, z):
-
-        int int f(x t y s z) dmu(t) dmu(s) = int int f(y t x s z) dmu(t) dmu(s)
-    """
-    fa = np.asarray(f)
-    t = inst.sg.cayley
-    n = inst.sg.order
-    dev = np.zeros((n, n, n), dtype=np.complex128)
-    for zi, wi in zip(inst.mu.points, inst.mu.weights):
-        for zj, wj in zip(inst.mu.points, inst.mu.weights):
-            a = t[t[:, zi]]        # (x, y) -> x * z_i * y
-            b = t[a, zj]           # (x, y) -> x * z_i * y * z_j
-            c = fa[t[b]]           # (x, y, z) -> f(x * z_i * y * z_j * z)
-            dev += (wi * wj) * (c - c.transpose(1, 0, 2))
-    return _worst(dev)
-
-
-def is_abelian_function(f, sg: FiniteSemigroup, depth: int = 3) -> bool:
-    """Invariance of f(x_1 ... x_d) under permuting the factors, d <= depth.
-
-    Depth is capped at 3: that already separates every case in the test
-    corpus, while the full definition quantifies over all lengths.
-    """
-    if depth not in (2, 3):
-        raise ValueError("depth must be 2 or 3")
-    fa = np.asarray(f)
-    t = sg.cayley
-    pairs = fa[t]
-    if np.max(np.abs(pairs - pairs.T)) > ABELIAN_TOL:
-        return False
-    if depth == 3:
-        triples = fa[t[t]]  # (x, y, z) -> f(x*y*z)
-        for axes in permutations((0, 1, 2)):
-            if np.max(np.abs(triples.transpose(axes) - triples)) > ABELIAN_TOL:
-                return False
-    return True
+    worst, at = _worst_rows(_deviation(kind, f, inst.sg, inst.tau, inst.mu)[None])
+    return Residual(float(worst[0]), tuple(at[0].tolist()))

@@ -43,10 +43,6 @@ class SupportNotCentral(InvariantViolation):
     invariant = "support not central"
 
 
-class InvalidEnvironment(InvariantViolation):
-    invariant = "invalid environment variable"
-
-
 class ZeroDenominator(FeqlabError):
     """A normalization integral vanished where theory guarantees it cannot."""
 

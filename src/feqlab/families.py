@@ -20,11 +20,10 @@ from typing import Mapping
 import numpy as np
 
 from .characters import dedup_canonical, enumerate_multiplicative
-from .equations import SOLUTION_DEGREE, Instance, is_abelian_function, residual, residuals
-from .equations import _worst_rows
+from .equations import SOLUTION_DEGREE, Instance, _worst_rows, residuals
 from .errors import EquivalenceViolation, ZeroDenominator
 from .measures import CentralMeasure, atom_sum, cmul, right_integral_table, total_mass_integral
-from .semigroups import FiniteSemigroup, Involution
+from .semigroups import FiniteSemigroup, Involution, validate_involution
 
 # Tolerances at ||mu|| = 1; a quantity of degree d in mu is compared with
 # mu.tolerance(TOL, d)
@@ -82,11 +81,17 @@ class SolutionReport:
         return len(self.solutions)
 
 
-def character_integrals(inst: Instance, chars=None) -> CharacterIntegrals:
-    """Both integrals of every multiplicative function, as one stack."""
+def _stack(inst: Instance, chars) -> np.ndarray:
+    """The multiplicative functions (all of them if chars is None) as one
+    (m, n) stack."""
     if chars is None:
         chars = enumerate_multiplicative(inst.sg)
-    X = np.array(chars, dtype=np.complex128).reshape(len(chars), inst.sg.order)
+    return np.array(chars, dtype=np.complex128).reshape(len(chars), inst.sg.order)
+
+
+def character_integrals(inst: Instance, chars=None) -> CharacterIntegrals:
+    """Both integrals of every multiplicative function, as one stack."""
+    X = _stack(inst, chars)
     int_mu = total_mass_integral(X, inst.mu)
     return CharacterIntegrals(X, int_mu, total_mass_integral(X[:, inst.tau.perm], inst.mu), inst.mu)
 
@@ -96,18 +101,21 @@ def family(kind: str, inst: Instance, chars=None, integrals=None) -> SolutionRep
     of the characters that integrals.admissible(kind) keeps (see the module
     docstring).  van_vleck: all nonzero solutions (chi and chi o tau give
     the same member); kannappan: all nonzero abelian solutions; dalembert:
-    the abelian solutions (mu is ignored).  integrals is
-    character_integrals(inst, chars), if the caller has it."""
-    if integrals is None:
-        integrals = character_integrals(inst, chars)
-    keep = integrals.admissible(kind)  # ValueError for an unknown kind
-    X, perm = integrals.chars, inst.tau.perm
-    if kind == "van_vleck":
-        F = 0.5 * (X - X[:, perm])[keep] * integrals.int_mu_tau[keep, None]
-    elif kind == "kannappan":
-        F = 0.5 * (X + X[:, perm])[keep] * integrals.int_mu[keep, None]
-    else:
+    the abelian solutions (mu is ignored, so no integral is computed).
+    integrals is character_integrals(inst, chars), if the caller has it."""
+    perm = inst.tau.perm
+    if kind == "dalembert":
+        X = _stack(inst, chars) if integrals is None else integrals.chars
         F = 0.5 * (X + X[:, perm])
+    else:
+        if integrals is None:
+            integrals = character_integrals(inst, chars)
+        keep = integrals.admissible(kind)  # ValueError for an unknown kind
+        X = integrals.chars
+        if kind == "van_vleck":
+            F = 0.5 * (X - X[:, perm])[keep] * integrals.int_mu_tau[keep, None]
+        else:
+            F = 0.5 * (X + X[:, perm])[keep] * integrals.int_mu[keep, None]
     scale = inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
     eps = inst.mu.tolerance(DEDUP_EPS, SOLUTION_DEGREE[kind])
     F = F[dedup_canonical(F, eps, scale)]
@@ -128,9 +136,11 @@ def kannappan_abelian_family(inst: Instance, chars=None) -> SolutionReport:
 
 def dalembert_abelian_family(sg: FiniteSemigroup, tau: Involution, chars=None) -> list[np.ndarray]:
     """Even parts g = (chi + chi o tau)/2 of the multiplicative functions, as
-    a bare list.  The equation has no measure; they are built on the zero one."""
+    a bare list, once tau is validated.  The equation has no measure; they
+    are built on the zero one."""
+    validate_involution(sg, tau.perm)
     no_mu = CentralMeasure(points=np.zeros(0, np.int64), weights=np.zeros(0, complex))
-    inst = Instance(sg=sg, tau=tau, mu=no_mu)
+    inst = Instance.of_validated(sg, tau, no_mu)
     return family("dalembert", inst, chars).values()
 
 
@@ -371,23 +381,3 @@ def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
     """identity_suites of the single cosine-type solution f."""
     return identity_suites("kannappan", np.asarray(f)[None], inst)[0]
 
-
-@dataclass(frozen=True)
-class TransformReport:
-    dalembert_residual: float
-    abelian: bool
-    mean: complex         # int g dmu, zero for transforms of sine solutions
-    double_mass: complex  # int int g(t s) dmu dmu, nonzero
-
-
-def associated_dalembert(f, inst: Instance) -> tuple[np.ndarray, TransformReport]:
-    """The d'Alembert solution g(x) = int f(x t) dmu / int f dmu attached to a
-    nonzero sine-type solution f, with its side conditions evaluated."""
-    g = kannappan_to_dalembert(f, inst)
-    report = TransformReport(
-        dalembert_residual=residual("dalembert", g, inst).max_abs,
-        abelian=is_abelian_function(g, inst.sg),
-        mean=total_mass_integral(g, inst.mu),
-        double_mass=total_mass_integral(right_integral_table(inst.sg, g, inst.mu), inst.mu),
-    )
-    return g, report

@@ -28,10 +28,6 @@ class CentralMeasure:
     def atoms(self) -> list[tuple[int, complex]]:
         return [(int(z), complex(w)) for z, w in zip(self.points, self.weights)]
 
-    @property
-    def total_weight(self) -> complex:
-        return complex(sum(self.weights))
-
     @functools.cached_property
     def total_variation(self) -> float:
         """||mu|| = sum_i |w_i|; inf if the sum overflows.  Computed once."""

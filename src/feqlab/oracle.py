@@ -20,7 +20,6 @@ across reruns.
 """
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ import numpy as np
 from .algebra import closed_system_roots
 from .characters import dedup_canonical, max_abs_distances
 from .equations import SOLUTION_DEGREE, Instance, linear_part
-from .errors import InvalidEnvironment
 from .families import Solution, SolutionReport
 
 
@@ -52,20 +50,8 @@ class OracleConfig:
 
 
 def thread_count() -> int:
-    """Worker count from FEQLAB_THREADS; 0 or unset means the CPU count.
-    The oracle itself runs on one thread whatever the setting."""
-    raw = os.environ.get("FEQLAB_THREADS", "").strip()
-    if not raw or raw == "0":
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise InvalidEnvironment(
-            f"FEQLAB_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    return value
+    """The oracle's worker count: it runs on one thread."""
+    return 1
 
 
 def equation_matrix(kind: str, inst: Instance) -> np.ndarray:

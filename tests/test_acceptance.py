@@ -18,8 +18,9 @@ import pytest
 
 import feqlab as fl
 from feqlab import cli
-from feqlab.characters import max_abs_diff
 from feqlab.families import dalembert_integral_conditions
+
+from scalar_reference import max_abs_diff
 
 RESIDUAL_TOL = 1e-10
 SET_EPS = 1e-6
@@ -87,7 +88,7 @@ def test_criterion_2_van_vleck_completeness():
             np.array(v, dtype=complex)
             for v in product(roots, repeat=4)
             if any(v)
-            and fl.residual_van_vleck(np.array(v, dtype=complex), inst).max_abs
+            and fl.residual("van_vleck", np.array(v, dtype=complex), inst).max_abs
             < 1e-9
         ]
         assert len(exhaustive) == 1
@@ -117,7 +118,7 @@ def test_criterion_3_kannappan_completeness():
             np.array([1, -1, 1, -1], dtype=complex),
         ]
         for f in expected:
-            assert fl.residual_kannappan(f, inst).max_abs < 1e-12
+            assert fl.residual("kannappan", f, inst).max_abs < 1e-12
         constructed = fl.kannappan_abelian_family(inst)
         found = fl.oracle_solve("kannappan", inst, fl.OracleConfig(restarts=400))
         assert same_sets(constructed, expected)
@@ -129,7 +130,7 @@ def test_criterion_3_kannappan_completeness():
             -2.0 * np.array([1, -1, 1, -1], dtype=complex),
         ]
         for f in expected2:
-            assert fl.residual_kannappan(f, inst2).max_abs < 1e-12
+            assert fl.residual("kannappan", f, inst2).max_abs < 1e-12
         assert same_sets(fl.kannappan_abelian_family(inst2), expected2)
         assert same_sets(
             fl.oracle_solve("kannappan", inst2, fl.OracleConfig(restarts=400)),
@@ -184,13 +185,13 @@ def test_criterion_6_bijection(grid, oracle_cache):
             ]
             for g in pool:
                 f = fl.dalembert_to_kannappan(g, inst)
-                assert fl.residual_kannappan(f, inst).max_abs < 1e-9, case.name
+                assert fl.residual("kannappan", f, inst).max_abs < 1e-9, case.name
                 assert max_abs_diff(f, np.zeros_like(f)) > 1e-9
                 assert max_abs_diff(fl.kannappan_to_dalembert(f, inst), g) < 1e-10
                 fwd += 1
             for sol in oracle_cache(case, "kannappan").solutions:
                 g = fl.kannappan_to_dalembert(sol.values, inst)
-                assert fl.residual_dalembert(g, inst.sg, inst.tau).max_abs < 1e-9
+                assert fl.residual("dalembert", g, inst).max_abs < 1e-9
                 assert fl.dalembert_admissible(g, inst), case.name
                 assert (
                     max_abs_diff(fl.dalembert_to_kannappan(g, inst), sol.values)

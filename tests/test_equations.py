@@ -9,6 +9,11 @@ import pytest
 import feqlab as fl
 
 from conftest import corpus_semigroups, involutions_for
+from scalar_reference import (
+    is_abelian_function,
+    kannappan_condition_residual,
+    residual_mu_spherical,
+)
 
 Z4 = fl.cyclic_group(4)
 NEG = fl.inverse_involution(Z4)
@@ -18,6 +23,11 @@ S3_INV = fl.inverse_involution(S3)
 
 def make_inst(sg, tau, atoms):
     return fl.Instance(sg=sg, tau=tau, mu=fl.central_measure(sg, atoms))
+
+
+def on(sg, tau):
+    """An instance for the d'Alembert equation, which ignores mu."""
+    return make_inst(sg, tau, [(0, 1.0)])
 
 
 def brute_van_vleck(f, inst):
@@ -67,18 +77,18 @@ class TestInstance:
 class TestVanVleck:
     def test_zero_solution(self):
         inst = make_inst(Z4, NEG, [(1, 1.0)])
-        assert fl.residual_van_vleck(np.zeros(4, complex), inst).max_abs == 0
+        assert fl.residual("van_vleck", np.zeros(4, complex), inst).max_abs == 0
 
     def test_sine_fixture_solves(self):
         # f(x) = sin(pi x / 2): check by brute force over all 16 pairs first
         inst = make_inst(Z4, NEG, [(1, 1.0)])
         f = np.array([0, 1, 0, -1], dtype=complex)
         assert brute_van_vleck(f, inst) < 1e-12
-        assert fl.residual_van_vleck(f, inst).max_abs < 1e-12
+        assert fl.residual("van_vleck", f, inst).max_abs < 1e-12
 
     def test_constant_one_fails_with_residual_two(self):
         inst = make_inst(Z4, NEG, [(1, 1.0)])
-        res = fl.residual_van_vleck(np.ones(4, complex), inst)
+        res = fl.residual("van_vleck", np.ones(4, complex), inst)
         assert res.max_abs == pytest.approx(2.0)
         assert res.argmax == (0, 0)
 
@@ -87,7 +97,7 @@ class TestVanVleck:
         rng = np.random.default_rng(0)
         for _ in range(5):
             f = rng.normal(size=4) + 1j * rng.normal(size=4)
-            assert fl.residual_van_vleck(f, inst).max_abs == pytest.approx(
+            assert fl.residual("van_vleck", f, inst).max_abs == pytest.approx(
                 brute_van_vleck(f, inst), abs=1e-13
             )
 
@@ -101,27 +111,27 @@ class TestVanVleck:
 class TestKannappan:
     def test_zero_solution(self):
         inst = make_inst(Z4, NEG, [(2, 1.0)])
-        assert fl.residual_kannappan(np.zeros(4, complex), inst).max_abs == 0
+        assert fl.residual("kannappan", np.zeros(4, complex), inst).max_abs == 0
 
     def test_cosine_fixture_solves(self):
         # f = -cos(pi x / 2): brute force over all 16 pairs first
         inst = make_inst(Z4, NEG, [(2, 1.0)])
         f = np.array([-1, 0, 1, 0], dtype=complex)
         assert brute_kannappan(f, inst) < 1e-12
-        assert fl.residual_kannappan(f, inst).max_abs < 1e-12
+        assert fl.residual("kannappan", f, inst).max_abs < 1e-12
 
     def test_constant_two_on_two_atom_measure(self):
         # LHS = 8 and RHS = 8 everywhere
         inst = make_inst(Z4, NEG, [(1, 1.0), (3, 1.0)])
         f = np.full(4, 2.0, dtype=complex)
-        assert fl.residual_kannappan(f, inst).max_abs < 1e-12
+        assert fl.residual("kannappan", f, inst).max_abs < 1e-12
 
     def test_matches_brute_force_on_random_inputs(self):
         inst = make_inst(Z4, NEG, [(0, 2j), (3, 1.0)])
         rng = np.random.default_rng(1)
         for _ in range(5):
             f = rng.normal(size=4) + 1j * rng.normal(size=4)
-            assert fl.residual_kannappan(f, inst).max_abs == pytest.approx(
+            assert fl.residual("kannappan", f, inst).max_abs == pytest.approx(
                 brute_kannappan(f, inst), abs=1e-13
             )
 
@@ -135,19 +145,19 @@ class TestKannappan:
             for tau in involutions_for(sg).values():
                 inst = make_inst(sg, tau, [(e, 1.0)])
                 f = rng.normal(size=sg.order) + 1j * rng.normal(size=sg.order)
-                a = fl.residual_kannappan(f, inst)
-                b = fl.residual_dalembert(f, sg, tau)
+                a = fl.residual("kannappan", f, inst)
+                b = fl.residual("dalembert", f, inst)
                 assert a.max_abs == pytest.approx(b.max_abs, abs=1e-14)
                 assert a.argmax == b.argmax
 
 
 class TestDalembert:
     def test_constant_one(self):
-        assert fl.residual_dalembert(np.ones(4, complex), Z4, NEG).max_abs == 0
+        assert fl.residual("dalembert", np.ones(4, complex), on(Z4, NEG)).max_abs == 0
 
     def test_cosine_on_z4(self):
         g = np.array([1, 0, -1, 0], dtype=complex)
-        assert fl.residual_dalembert(g, Z4, NEG).max_abs < 1e-12
+        assert fl.residual("dalembert", g, on(Z4, NEG)).max_abs < 1e-12
 
     def test_sign_character_on_s3(self):
         sign = np.array([1, -1, -1, 1, 1, -1], dtype=complex)
@@ -161,25 +171,25 @@ class TestDalembert:
             for y in range(6)
         )
         assert worst == 0
-        assert fl.residual_dalembert(sign, S3, S3_INV).max_abs == 0
+        assert fl.residual("dalembert", sign, on(S3, S3_INV)).max_abs == 0
 
 
 class TestMuSpherical:
     def test_zero_solution(self):
         inst = make_inst(Z4, NEG, [(2, 1.0)])
-        assert fl.residual_mu_spherical(np.zeros(4, complex), inst).max_abs == 0
+        assert residual_mu_spherical(np.zeros(4, complex), inst).max_abs == 0
 
     def test_character_with_identity_mass(self):
         # unit mass at e reduces the equation to multiplicativity
         sg = fl.cyclic_group(6)
         inst = make_inst(sg, fl.inverse_involution(sg), [(0, 1.0)])
         chi = np.exp(1j * np.pi * np.arange(6) / 3)
-        assert fl.residual_mu_spherical(chi, inst).max_abs < 1e-12
+        assert residual_mu_spherical(chi, inst).max_abs < 1e-12
 
     def test_shifted_character_misses_by_two(self):
         inst = make_inst(Z4, NEG, [(2, 1.0)])
         psi = 1j ** np.arange(4)
-        res = fl.residual_mu_spherical(psi, inst)
+        res = residual_mu_spherical(psi, inst)
         assert res.max_abs == pytest.approx(2.0)
 
 
@@ -188,12 +198,12 @@ class TestKannappanCondition:
         inst = make_inst(Z4, NEG, [(1, 1 + 1j), (3, 2.0)])
         rng = np.random.default_rng(3)
         f = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert fl.kannappan_condition_residual(f, inst).max_abs < 1e-13
+        assert kannappan_condition_residual(f, inst).max_abs < 1e-13
 
     def test_constant_function_always_satisfies(self):
         inst = make_inst(S3, S3_INV, [(0, 1.0)])
         f = np.full(6, 2 - 1j)
-        assert fl.kannappan_condition_residual(f, inst).max_abs == 0
+        assert kannappan_condition_residual(f, inst).max_abs == 0
 
     def test_transposition_indicator_on_s3_fails(self):
         # brute scan: f(x*y*z) vs f(y*x*z) must differ somewhere
@@ -209,7 +219,7 @@ class TestKannappanCondition:
             for z in range(6)
         )
         assert brute == 1.0
-        res = fl.kannappan_condition_residual(f, inst)
+        res = kannappan_condition_residual(f, inst)
         assert res.max_abs == pytest.approx(brute)
 
 
@@ -217,20 +227,20 @@ class TestAbelianFunction:
     def test_any_function_on_abelian_semigroup(self):
         rng = np.random.default_rng(4)
         f = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert fl.is_abelian_function(f, Z4)
+        assert is_abelian_function(f, Z4)
 
     def test_constant_on_s3(self):
-        assert fl.is_abelian_function(np.full(6, 3j), S3)
+        assert is_abelian_function(np.full(6, 3j), S3)
 
     def test_transposition_indicator_fails_at_depth_two(self):
         f = np.zeros(6, dtype=complex)
         f[1] = 1.0
-        assert not fl.is_abelian_function(f, S3, depth=2)
-        assert not fl.is_abelian_function(f, S3, depth=3)
+        assert not is_abelian_function(f, S3, depth=2)
+        assert not is_abelian_function(f, S3, depth=3)
 
     def test_depth_must_be_two_or_three(self):
         with pytest.raises(ValueError):
-            fl.is_abelian_function(np.zeros(4, complex), Z4, depth=4)
+            is_abelian_function(np.zeros(4, complex), Z4, depth=4)
 
 
 class TestPerformance:
@@ -241,11 +251,11 @@ class TestPerformance:
         rng = np.random.default_rng(5)
         f = rng.normal(size=24) + 1j * rng.normal(size=24)
         t0 = time.monotonic()
-        fl.residual_van_vleck(f, inst)
-        fl.residual_kannappan(f, inst)
-        fl.residual_dalembert(f, sg, tau)
-        fl.residual_mu_spherical(f, inst)
-        fl.kannappan_condition_residual(f, inst)
+        fl.residual("van_vleck", f, inst)
+        fl.residual("kannappan", f, inst)
+        fl.residual("dalembert", f, inst)
+        residual_mu_spherical(f, inst)
+        kannappan_condition_residual(f, inst)
         assert time.monotonic() - t0 < 1.0
 
 

@@ -16,8 +16,9 @@ import pytest
 
 import feqlab as fl
 from feqlab import cli
-from feqlab.characters import max_abs_diff
 from feqlab.equations import SOLUTION_DEGREE
+
+from scalar_reference import max_abs_diff
 
 LAMBDAS = [
     1e-50, 1e-40, 1e-12, 1e-9, 1e-9j, 1e-7, 1e-5, 1e-2, 1,

@@ -47,7 +47,7 @@ class TestConstruction:
 
     def test_complex_weights_allowed(self):
         mu = z4_measure((0, 1 + 1j), (2, -3j))
-        assert mu.total_weight == 1 - 2j
+        assert sum(mu.weights) == 1 - 2j
 
     def test_total_variation_sums_moduli(self):
         mu = z4_measure((0, 3 + 4j), (2, -2.0))

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 import feqlab as fl
-from feqlab.characters import max_abs_diff
-
 from conftest import nilpotent_monoid
-from scalar_reference import equation_matrix_add_at
+from scalar_reference import equation_matrix_add_at, max_abs_diff
 
 Z4 = fl.cyclic_group(4)
 NEG = fl.inverse_involution(Z4)
@@ -107,12 +105,9 @@ class TestSoundness:
     def test_independent_reevaluation(self, z4_d1, z4_d2):
         # the equation engine is a separate code path from the solver's own
         # residual assembly
-        for kind, inst, res_fn in [
-            ("van_vleck", z4_d1, fl.residual_van_vleck),
-            ("kannappan", z4_d2, fl.residual_kannappan),
-        ]:
+        for kind, inst in [("van_vleck", z4_d1), ("kannappan", z4_d2)]:
             for sol in fl.oracle_solve(kind, inst).solutions:
-                assert res_fn(sol.values, inst).max_abs < 1e-11
+                assert fl.residual(kind, sol.values, inst).max_abs < 1e-11
 
     def test_dalembert_reevaluation(self):
         s3 = fl.symmetric_group_3()
@@ -120,9 +115,7 @@ class TestSoundness:
         rep = fl.oracle_solve("dalembert", inst)
         assert len(rep.solutions) == 2
         for sol in rep.solutions:
-            assert (
-                fl.residual_dalembert(sol.values, s3, inst.tau).max_abs < 1e-11
-            )
+            assert fl.residual("dalembert", sol.values, inst).max_abs < 1e-11
 
     def test_pairwise_distance_exceeds_dedup_eps(self, z4_d2):
         rep = fl.oracle_solve("kannappan", z4_d2)
@@ -138,31 +131,10 @@ class TestDeterminism:
         b = fl.oracle_solve("van_vleck", z4_d1)
         assert_bit_identical(a, b)
 
-    def test_thread_counts_agree(self, z4_d2, monkeypatch):
-        reports = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("FEQLAB_THREADS", threads)
-            reports[threads] = fl.oracle_solve("kannappan", z4_d2)
-        assert_bit_identical(reports["1"], reports["4"])
-
     def test_different_seed_same_solution_set(self, z4_d1):
         a = fl.oracle_solve("van_vleck", z4_d1, fl.OracleConfig(rng_seed=0))
         b = fl.oracle_solve("van_vleck", z4_d1, fl.OracleConfig(rng_seed=97))
         assert fl.match_solution_sets(a, b, eps=1e-6).is_match
-
-    def test_thread_count_env_parsing(self, monkeypatch):
-        monkeypatch.setenv("FEQLAB_THREADS", "3")
-        assert fl.oracle.thread_count() == 3
-        monkeypatch.setenv("FEQLAB_THREADS", "0")
-        assert fl.oracle.thread_count() >= 1
-        monkeypatch.delenv("FEQLAB_THREADS")
-        assert fl.oracle.thread_count() >= 1
-
-    @pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
-    def test_thread_count_rejects_bad_env(self, monkeypatch, raw):
-        monkeypatch.setenv("FEQLAB_THREADS", raw)
-        with pytest.raises(fl.InvariantViolation):
-            fl.oracle.thread_count()
 
 
 class TestStability:

@@ -1,6 +1,7 @@
 """Semigroup core: table validation, involutions, center, orbits, builders."""
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,20 @@ import feqlab as fl
 
 from conftest import involutions_for, nilpotent_monoid
 from scalar_reference import orbit_walk
+
+
+def orbit_of(sg, x) -> tuple[int, int]:
+    """(index, period) of x, read from the orbit table."""
+    index, period = fl.orbit_table(sg)
+    return int(index[x]), int(period[x])
+
+
+def power(sg, x: int, k: int) -> int:
+    """x^k, k >= 1, by repeated multiplication."""
+    acc = x
+    for _ in range(k - 1):
+        acc = sg.mul(acc, x)
+    return acc
 
 
 def brute_first_nonassociative(table) -> tuple[int, int, int] | None:
@@ -73,7 +88,8 @@ class TestValidateSemigroup:
         src = Path(fl.__file__).resolve().parents[1]
         out = subprocess.run(
             [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True, env={"PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert int(out.stdout) < 100 * 1024  # kB
 
@@ -164,31 +180,30 @@ class TestCenter:
 
 class TestOrbit:
     def test_z4_generator(self):
-        assert fl.orbit(fl.cyclic_group(4), 1) == fl.Orbit(1, 1, 4)
+        assert orbit_of(fl.cyclic_group(4), 1) == (1, 4)
 
     def test_idempotent(self):
-        assert fl.orbit(fl.cyclic_group(4), 0) == fl.Orbit(0, 1, 1)
+        assert orbit_of(fl.cyclic_group(4), 0) == (1, 1)
 
     def test_generator_with_cube_equal_square(self):
         sg = fl.cyclic_semigroup(2, 1)
-        assert sg.power(0, 3) == sg.power(0, 2)
-        assert fl.orbit(sg, 0) == fl.Orbit(0, 2, 1)
+        assert power(sg, 0, 3) == power(sg, 0, 2)
+        assert orbit_of(sg, 0) == (2, 1)
 
     def test_square_of_generator_in_three_element_semigroup(self):
         # in {x, x^2, x^3} with x^4 = x^3, the element y = x^2 satisfies
         # y^3 = y^2, found by iterating powers until the first repeat
         sg = fl.cyclic_semigroup(3, 1)
         assert sg.order == 3
-        assert sg.power(1, 3) == sg.power(1, 2)
-        assert fl.orbit(sg, 1) == fl.Orbit(1, 2, 1)
+        assert power(sg, 1, 3) == power(sg, 1, 2)
+        assert orbit_of(sg, 1) == (2, 1)
 
     def test_power_periodicity(self, corpus):
         for sg in corpus.values():
             for x in range(sg.order):
-                orb = fl.orbit(sg, x)
-                i, p = orb.index, orb.period
+                i, p = orbit_of(sg, x)
                 for k in range(sg.order + 1):
-                    assert sg.power(x, i + p + k) == sg.power(x, i + k)
+                    assert power(sg, x, i + p + k) == power(sg, x, i + k)
 
 
     @pytest.mark.parametrize(
@@ -215,9 +230,7 @@ class TestOrbit:
 
 def assert_table_is_orbits(sg):
     index, period = fl.orbit_table(sg)
-    want = [orbit_walk(sg, x) for x in range(sg.order)]
-    assert index.tolist() == [o.index for o in want]
-    assert period.tolist() == [o.period for o in want]
+    assert list(zip(index.tolist(), period.tolist())) == [orbit_walk(sg, x) for x in range(sg.order)]
 
 
 class TestBuilders:
@@ -243,8 +256,8 @@ class TestBuilders:
     def test_cyclic_semigroup_generator_contract(self):
         sg = fl.cyclic_semigroup(2, 2)
         assert sg.order == 3
-        assert sg.power(0, 4) == sg.power(0, 2)
-        assert fl.orbit(sg, 0) == fl.Orbit(0, 2, 2)
+        assert power(sg, 0, 4) == power(sg, 0, 2)
+        assert orbit_of(sg, 0) == (2, 2)
 
     def test_left_zero_multiplication(self):
         sg = fl.left_zero(3)

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 import feqlab as fl
 from feqlab import cli
-from feqlab.characters import canonical_key, canonical_order, dedup_canonical
+from feqlab.characters import canonical_order, dedup_canonical
 from feqlab.equations import SOLUTION_DEGREE
 from feqlab.families import DEDUP_EPS
 from feqlab.oracle import MATCH_EPS
 
 from conftest import corpus_semigroups, nilpotent_monoid
 from scalar_reference import (
+    canonical_key,
     dedup_canonical_loop,
     enumerate_multiplicative_loop,
     json_report,
