@@ -1,22 +1,23 @@
 """Independent numeric solver: the joint-eigenvector route of algebra.py.
 
 Each equation is a closed quadratic system in the n complex values of f: a
-linear part A f (the measure-weighted shifts) plus the uniform quadratic term
--2 f(x) f(y), one complex equation per pair (x, y).  Its roots are the joint
+linear part (the measure-weighted shifts) plus the uniform quadratic term
+-2 f(x) f(y), one complex equation per pair (x, y).  The solver reads the
+linear part as one table L, equations.linear_part on the n unit vectors,
+which is the operator the residuals use.  The roots are the joint
 eigenvectors of n + 1 small matrices, read off from one eig of a seeded
 random combination; a certificate says whether that eig found every root
 (see algebra.closed_system_roots), and only a failed certificate draws a
 fresh combination.
 
-The system is solved as A / s with s = ||mu|| for the two integral
+The system is solved as L / s with s = ||mu|| for the two integral
 equations (s = 1 for d'Alembert, which ignores mu): its roots f / s have
 modulus at most 1, and scaling mu by lam changes them only by the phase
 lam / |lam|, so the residual check at CONVERGE_TOL is relative to the size of
-the measure.  The roots are then
-deduplicated as the construction's are, at MATCH_EPS relative to the size of
-the solutions, which is also the distance at which the CLI matches the two
-sets.  The result is a function of the seed alone: no threads, bit-identical
-across reruns.
+the measure.  The roots are then deduplicated as the construction's are, at
+MATCH_EPS relative to the size of the solutions, which is also the distance
+at which the CLI matches the two sets.  The result is a function of the seed
+alone: no threads, bit-identical across reruns.
 """
 from __future__ import annotations
 
@@ -54,15 +55,6 @@ def thread_count() -> int:
     return 1
 
 
-def equation_matrix(kind: str, inst: Instance) -> np.ndarray:
-    """Linear part A of the residual system: row x*n+y, one column per
-    element, so that the full residual is A f - 2 f(x) f(y).  Column j is
-    the equation's linear side evaluated at the j-th unit vector."""
-    n = inst.sg.order
-    columns = linear_part(kind, np.eye(n, dtype=np.complex128), inst.sg, inst.tau, inst.mu)
-    return np.ascontiguousarray(columns.reshape(n, n * n).T)
-
-
 def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> SolutionReport:
     """All nonzero solutions of the chosen equation, certified unless a
     NoConvergenceBudget warning says otherwise.
@@ -74,10 +66,12 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
     """
     if cfg is None:
         cfg = OracleConfig()
-    A = equation_matrix(kind, inst)
+    n = inst.sg.order
+    L = linear_part(kind, np.eye(n, dtype=np.complex128), inst.sg, inst.tau, inst.mu)
     degree = SOLUTION_DEGREE[kind]
     s = inst.mu.tolerance(1.0, degree)
-    roots, res, certified = closed_system_roots(A / s, CONVERGE_TOL, cfg.rng_seed, cfg.restarts)
+    L /= s
+    roots, res, certified = closed_system_roots(L, CONVERGE_TOL, cfg.rng_seed, cfg.restarts)
     if not certified:
         warnings.warn(
             NoConvergenceBudget(
@@ -85,19 +79,15 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
             )
         )
     roots *= s
-    res = inst.mu.tolerance(res, 2 * degree)  # the residual of A has twice f's degree
+    res = inst.mu.tolerance(res, 2 * degree)  # the residual L f - 2 f f has twice f's degree
     keep = dedup_canonical(roots, inst.mu.tolerance(MATCH_EPS, degree), s)
     finals = roots[keep]
     finals.setflags(write=False)
-    # a root the solver returned more than once reports its last residual
-    bits = roots.view(np.uint64)
-    same = (bits[keep, None, :] == bits[None, :, :]).all(axis=2)
-    last = (same * np.arange(len(roots))).max(axis=1, initial=0)
     return SolutionReport(
         equation=kind,
         solutions=tuple(
             Solution(values=f, residual=r, provenance="oracle")
-            for f, r in zip(finals, res[last].tolist())
+            for f, r in zip(finals, res[keep].tolist())
         ),
     )
 

@@ -17,6 +17,8 @@ powers of one element; verify_instance_loop
 checks one solution at a time through the single-function calls (residual,
 the identity suites, the bijection maps), and closed_subspace_svd finds the
 closed subspace of the solver by SVD even where the symmetry forms vanish.
+multiplication_matrices stores the matrices M_y that the solver reads off
+its table.
 
 The last section holds checks of the paper's claims that no part of the
 package runs: the mu-spherical equation, the Kannappan swap condition,
@@ -31,7 +33,7 @@ from itertools import permutations
 import numpy as np
 
 import feqlab as fl
-from feqlab.algebra import _null_space, closed_system_roots
+from feqlab.algebra import _images, _null_space, closed_system_roots
 from feqlab.characters import CANON_DECIMALS, DRAWS, MULT_TOL, ROOT_TOL, _candidates, dedup_canonical
 from feqlab.equations import SOLUTION_DEGREE, _worst_rows, residuals
 from feqlab.families import (
@@ -243,9 +245,9 @@ def enumerate_multiplicative_loop(
     """enumerate_multiplicative with one is_multiplicative scan per snapped
     root and exact repeats dropped through a dict of their bytes."""
     n = sg.order
-    A = np.zeros((n * n, n))
-    A[np.arange(n * n), sg.cayley.ravel()] = 2.0
-    roots, _, _ = closed_system_roots(A, ROOT_TOL, draws=DRAWS)
+    L = np.zeros((n, n, n))
+    L[sg.cayley, np.arange(n)[:, None], np.arange(n)] = 2.0
+    roots, _, _ = closed_system_roots(L, ROOT_TOL, draws=DRAWS)
     snapped = np.empty_like(roots)
     for x in range(n):
         cands = candidate_values(sg, x)
@@ -314,17 +316,27 @@ def orbit_walk(sg: fl.FiniteSemigroup, x: int) -> tuple[int, int]:
     return i, k - i
 
 
-def closed_subspace_svd(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+def multiplication_matrices(L: np.ndarray) -> np.ndarray:
+    """The matrices M_y of closed_system_roots, stacked as shape
+    (n, n+1, n+1): row 0 of M_y is e_{1+y}, row 1+x is (0, L[:, x, y] / 2)."""
+    n = len(L)
+    M = np.zeros((n, n + 1, n + 1), dtype=np.complex128)
+    M[:, 1:, 1:] = L.transpose(2, 1, 0) / 2.0
+    M[np.arange(n), 0, 1 + np.arange(n)] = 1.0
+    return M
+
+
+def closed_subspace_svd(L: np.ndarray) -> np.ndarray:
     """The closed subspace N of closed_system_roots from the null space of
     the symmetry forms, found by SVD also when they vanish, and the closure
-    loop run until it changes nothing."""
-    n = A.shape[1]
-    A3 = A.reshape(n, n, n)
-    forms = np.zeros((n * n, n + 1), dtype=A.dtype)
-    forms[:, 1:] = (A3 - A3.transpose(1, 0, 2)).reshape(n * n, n)
+    loop run until it changes nothing.  The loop takes its products M_y Q
+    from the solver's own _images, whose bits the stored M_y do not give."""
+    n = len(L)
+    forms = np.zeros((n * n, n + 1), dtype=np.complex128)
+    forms[:, 1:] = (L - L.transpose(0, 2, 1)).reshape(n, n * n).T
     Q = _null_space(forms)
     while Q.shape[1]:
-        outside = M @ Q
+        outside = _images(L, Q)
         outside -= Q @ (Q.conj().T @ outside)
         keep = _null_space(outside.reshape(-1, Q.shape[1]))
         if keep.shape[1] == Q.shape[1]:

@@ -1,6 +1,7 @@
 """The numeric oracle: completeness fixtures, determinism, matching."""
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -170,9 +171,29 @@ class TestStability:
 class TestEquationMatrix:
     @pytest.mark.parametrize("kind", fl.KINDS)
     def test_bit_identical_to_add_at_reference_on_grid(self, grid, kind):
+        # the solver's table is the linear part on the unit vectors
         for case in grid:
-            got = fl.oracle.equation_matrix(kind, case.inst)
+            sg, n = case.inst.sg, case.inst.sg.order
+            L = fl.linear_part(kind, np.eye(n, dtype=np.complex128), sg, case.inst.tau, case.inst.mu)
+            got = L.reshape(n, n * n).T
             assert np.array_equal(got, equation_matrix_add_at(kind, case.inst)), case.name
+
+
+class TestMemory:
+    def test_solver_holds_few_cubes(self):
+        # the solver reads one n^3 table; on Z64 with the inverse involution
+        # the closure runs, and the peak stays within 4 complex n^3 arrays
+        n = 64
+        sg = fl.cyclic_group(n)
+        inst = make_inst(sg, fl.inverse_involution(sg), [(1, 1.0)])
+        tracemalloc.start()
+        try:
+            rep = fl.oracle_solve("kannappan", inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep) == 2
+        assert peak <= 4 * 16 * n**3
 
 
 class TestConvergenceBudget:
