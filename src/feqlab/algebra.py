@@ -27,11 +27,14 @@ merged into one cluster average to a point whose residual is
 2 t (1 - t) max|f1 - f2|^2, which fails the check unless the two lie closer
 than about sqrt(tol); so a certified draw has one root per cluster and,
 every root lying in N, misses none.  A failed certificate is answered by a
-fresh c.
+fresh c.  When no two eigenvalues are near, every root is v / v_0, read
+with one division.
 
 L is cast to complex128 once: a mixed complex-by-float product is slow
 under OpenBLAS threads.  Where the symmetry forms vanish (a commutative
-table), N is all of C^(n+1) and no SVD or closure step runs.
+table), N is all of C^(n+1) and no SVD or closure step runs.  The closure
+stops once the part of M_y Q outside Q has Frobenius norm at most NULL_TOL:
+the norm bounds the largest singular value, so _null_space would keep Q.
 """
 from __future__ import annotations
 
@@ -73,6 +76,8 @@ def _closed_subspace(L: np.ndarray) -> np.ndarray:
     while 0 < Q.shape[1] < n + 1:
         outside = _images(L, Q)
         outside -= Q @ (Q.conj().T @ outside)
+        if np.linalg.norm(outside) <= NULL_TOL:  # Q is closed (module docstring)
+            break
         keep = _null_space(outside.reshape(-1, Q.shape[1]))
         if keep.shape[1] == Q.shape[1]:
             break
@@ -80,19 +85,28 @@ def _closed_subspace(L: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _clusters(lam: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Connected components of the graph |lam_i - lam_j| <= tol, in order of
-    their smallest index."""
-    near = np.abs(lam[:, None] - lam[None, :]) <= tol
+def _cluster_roots(L, Q, C, lam, U, near) -> np.ndarray:
+    """One root per cluster, a component of the graph near on the eigenvalues
+    lam of C, in order of smallest index: v / v_0 (v in U) or the trace."""
     label = np.arange(lam.size)
-    if np.count_nonzero(near) == lam.size and near.diagonal().all():  # no two near
-        return [label[i:i + 1] for i in range(lam.size)]
     while True:
         new = np.where(near, label[None, :], lam.size).min(axis=1)
         if np.array_equal(new, label):
             break
         label = new
-    return [np.flatnonzero(label == k) for k in np.unique(label)]
+    first = np.flatnonzero(label == np.arange(lam.size))  # label: the smallest index
+    counts = np.bincount(label)[first]
+    F = np.empty((first.size, len(L)), dtype=np.complex128)
+    single = counts == 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F[single] = (U[1:, first[single]] / U[0, first[single]]).T
+    for i in np.flatnonzero(~single).tolist():
+        m = int(counts[i])
+        shifted = C - lam[label == first[i]].sum() / m * np.eye(C.shape[0])  # the mean
+        _, _, vh = np.linalg.svd(np.linalg.matrix_power(shifted, m))
+        W = Q @ vh[-m:].conj().T  # orthonormal basis of the cluster
+        F[i] = np.einsum("jm,yjm->y", W.conj(), _images(L, W)) / m
+    return F
 
 
 def _residuals(L: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -138,19 +152,12 @@ def closed_system_roots(
         C = Q.conj().T @ C @ Q
         lam, V = np.linalg.eig(C)
         U = Q @ V  # eigenvectors as v = (v_0, ...) in C^(n+1)
-        clusters = _clusters(lam, CLUSTER_TOL)
-        F = np.empty((len(clusters), n), dtype=np.complex128)
-        single = [i for i, idx in enumerate(clusters) if idx.size == 1]
-        cols = [clusters[i][0] for i in single]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F[single] = (U[1:, cols] / U[0, cols]).T
-        for i, idx in enumerate(clusters):
-            if idx.size == 1:
-                continue
-            shifted = C - lam[idx].mean() * np.eye(C.shape[0])
-            _, _, vh = np.linalg.svd(np.linalg.matrix_power(shifted, idx.size))
-            W = Q @ vh[-idx.size:].conj().T  # orthonormal basis of the cluster
-            F[i] = np.einsum("jm,yjm->y", W.conj(), _images(L, W)) / idx.size
+        near = np.abs(lam[:, None] - lam[None, :]) <= CLUSTER_TOL
+        if np.count_nonzero(near) == lam.size and near.diagonal().all():  # no two near
+            with np.errstate(divide="ignore", invalid="ignore"):
+                F = np.ascontiguousarray((U[1:] / U[0]).T)
+        else:
+            F = _cluster_roots(L, Q, C, lam, U, near)
         r = _residuals(L, F)
         ok = r <= tol
         if ok.all():

@@ -10,9 +10,9 @@ json.dumps(report, indent=2, sort_keys=True).  It exists because on Python
 3.11 json's C encoder does not indent: with indent set, json falls back to
 its pure-Python encoder, which visits every value and calls a Python hook
 for every complex number.  _render writes each array of complex values with
-one comprehension instead, and each string (dict keys included) with the
-function json.dumps calls for it.  The option parser is built once per
-process, on the first call of main.
+one comprehension instead, each string (dict keys included) with the
+function json.dumps calls for it, and ints, booleans and None itself.  The
+option parser is built once per process, on the first call of main.
 """
 from __future__ import annotations
 
@@ -71,6 +71,12 @@ def _render(obj, pad: str) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it at
     indentation pad, with complex numbers as {"im", "re"} objects and 1-d
     arrays as lists of them.  Dict keys are strings."""
+    if isinstance(obj, float):
+        return _float(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if obj is True or obj is False or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -86,14 +92,12 @@ def _render(obj, pad: str) -> str:
         if not obj:
             return "[]"
         items = [_render(v, inner) for v in obj]
-    elif isinstance(obj, float):
-        return _float(obj)
     elif isinstance(obj, complex):
         return _complex(obj.real, obj.imag, pad)
     elif isinstance(obj, str):
         return _quote(obj)
     else:
-        return json.dumps(obj)  # int, bool or None; TypeError otherwise
+        return json.dumps(obj)  # TypeError for what json refuses
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 

@@ -96,12 +96,10 @@ def character_integrals(inst: Instance, chars=None) -> CharacterIntegrals:
     return CharacterIntegrals(X, int_mu, total_mass_integral(X[:, inst.tau.perm], inst.mu), inst.mu)
 
 
-def family(kind: str, inst: Instance, chars=None, integrals=None) -> SolutionReport:
-    """Constructed solutions of one equation: one expression over the stack
-    of the characters that integrals.admissible(kind) keeps (see the module
-    docstring).  van_vleck: all nonzero solutions (chi and chi o tau give
-    the same member); kannappan: all nonzero abelian solutions; dalembert:
-    the abelian solutions (mu is ignored, so no integral is computed).
+def family_stack(kind: str, inst: Instance, chars=None, integrals=None) -> np.ndarray:
+    """The members of family(kind, ...) as one (m, n) stack in canonical
+    order: one expression over the stack of the characters that
+    integrals.admissible(kind) keeps (see the module docstring).
     integrals is character_integrals(inst, chars), if the caller has it."""
     perm = inst.tau.perm
     if kind == "dalembert":
@@ -118,7 +116,15 @@ def family(kind: str, inst: Instance, chars=None, integrals=None) -> SolutionRep
             F = 0.5 * (X + X[:, perm])[keep] * integrals.int_mu[keep, None]
     scale = inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
     eps = inst.mu.tolerance(DEDUP_EPS, SOLUTION_DEGREE[kind])
-    F = F[dedup_canonical(F, eps, scale)]
+    return F[dedup_canonical(F, eps, scale)]
+
+
+def family(kind: str, inst: Instance, chars=None, integrals=None) -> SolutionReport:
+    """Constructed solutions of one equation, family_stack with residuals.
+    van_vleck: all nonzero solutions (chi and chi o tau give the same
+    member); kannappan: all nonzero abelian solutions; dalembert: the
+    abelian solutions (mu is ignored, so no integral is computed)."""
+    F = family_stack(kind, inst, chars, integrals)
     res, _ = residuals(kind, F, inst)
     sols = tuple(Solution(f, r, "constructed") for f, r in zip(F, res.tolist()))
     return SolutionReport(equation=kind, solutions=sols)

@@ -29,6 +29,11 @@ class CentralMeasure:
         return [(int(z), complex(w)) for z, w in zip(self.points, self.weights)]
 
     @functools.cached_property
+    def complex_weights(self) -> bool:
+        """Whether a weight has a nonzero imaginary part.  Computed once."""
+        return bool(self.weights.imag.any())
+
+    @functools.cached_property
     def total_variation(self) -> float:
         """||mu|| = sum_i |w_i|; inf if the sum overflows.  Computed once."""
         return sum((math.hypot(w.real, w.imag) for w in self.weights), 0.0)
@@ -91,11 +96,12 @@ def cmul(a, b) -> np.ndarray:
 def atom_sum(values, mu: CentralMeasure) -> np.ndarray:
     """sum_i w_i values[..., i] in atom order from 0, the Python sum.  With real
     weights numpy's product rounds as cmul (one product of each part is an
-    exact zero) up to signs of zeros, which the sum from 0 drops."""
+    exact zero) up to signs of zeros, which the sum from 0 drops (the first
+    term plus 0.0 has the bits of 0.0 plus it)."""
     w = mu.weights
-    terms = values * w if not w.imag.any() else cmul(w, np.asarray(values))
-    out = np.zeros(terms.shape[:-1], dtype=np.complex128)
-    for i in range(terms.shape[-1]):
+    terms = cmul(w, np.asarray(values)) if mu.complex_weights else values * w
+    out = np.add(terms[..., 0], 0.0, out=np.empty(terms.shape[:-1], dtype=np.complex128))
+    for i in range(1, terms.shape[-1]):
         out += terms[..., i]
     return out
 

@@ -7,7 +7,8 @@ back; each d'Alembert solution must solve the d'Alembert equation, and its
 three integral conditions must agree.  Each check that fails is recorded,
 none raises.
 
-The solutions of one kind are checked as one (m, n) stack, each check one
+The solutions of one kind are checked as one (m, n) stack, the constructed
+members of family_stack and then those oracle_solve finds, each check one
 call for the whole set, whose numbers for a member are those of the
 single-function calls (residual, van_vleck_identity_suite, ...).
 
@@ -29,7 +30,7 @@ from .families import (
     RESIDUAL_TOL,
     character_integrals,
     dalembert_to_kannappan,
-    family,
+    family_stack,
     identity_suites,
     integral_conditions,
     kannappan_to_dalembert,
@@ -67,10 +68,10 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
                          "provenance": provenance, "solution_index": index})
 
     def solutions(kind):
-        sols = family(kind, inst, integrals=integrals).solutions
-        sols += oracle_solve(kind, inst, cfg).solutions
-        F = np.array([s.values for s in sols], dtype=np.complex128).reshape(len(sols), n)
-        return [s.provenance for s in sols], F
+        built = family_stack(kind, inst, integrals=integrals)
+        found = oracle_solve(kind, inst, cfg).values()
+        F = np.array([*built, *found], dtype=np.complex128).reshape(-1, n)
+        return ["constructed"] * len(built) + ["oracle"] * len(found), F
 
     def suite_entries(kind, provenance, F):
         eq_res, eq_at = residuals(kind, F, inst)
@@ -92,28 +93,30 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
     kan_prov, K = solutions("kannappan")
     kan_entries = suite_entries("kannappan", kan_prov, K)
 
-    # bijection round-trips on the cosine-type solutions, which need a mass
+    # bijection round-trips on the cosine-type solutions, which need a mass;
+    # their images G take the d'Alembert checks in one stack with the solutions D
     live = np.abs(total_mass_integral(K, mu)) > floor
     G = kannappan_to_dalembert(K[live], inst)
     back = np.abs(dalembert_to_kannappan(G, inst) - K[live]).max(axis=1)
-    g_res, g_at = residuals("dalembert", G, inst)
-    rows = zip(integral_conditions(G, inst), g_res.tolist(), g_at.tolist(), back.tolist())
+    dal_prov, D = solutions("dalembert")
+    GD = np.concatenate([G, D])
+    conds = integral_conditions(GD, inst)
+    d_res, d_at = (a.tolist() for a in residuals("dalembert", GD, inst))
+    rows = zip(conds, d_res, d_at, back.tolist())  # the rows of G
     for i, (prov, ok_mass) in enumerate(zip(kan_prov, live.tolist())):
         if not ok_mass:
             fail("nonzero_mass", 0.0, prov, i)
             continue
-        conds, res, at, b = next(rows)
-        ok_member = conds.consistent and conds.admissible()
+        c, res, at, b = next(rows)
+        ok_member = c.consistent and c.admissible()
         if res > RESIDUAL_TOL or not ok_member or b > mu.tolerance(RESIDUAL_TOL, 1):
             fail("bijection_inverse", max(res, b), prov, i, at)
 
     # integral-condition equivalence and forward round-trips on the
     # d'Alembert solutions
-    dal_prov, D = solutions("dalembert")
-    conds = integral_conditions(D, inst)
-    d_res, d_at = residuals("dalembert", D, inst)
+    conds, d_res, d_at = conds[len(G):], d_res[len(G):], d_at[len(G):]
     ahead = np.array([r <= RESIDUAL_TOL and c.consistent and c.admissible()
-                      for c, r in zip(conds, d_res.tolist())], dtype=bool)
+                      for c, r in zip(conds, d_res)], dtype=bool)
     Fk = dalembert_to_kannappan(D[ahead], inst)
     f_res, f_at = residuals("kannappan", Fk, inst)
     f_live = np.abs(total_mass_integral(Fk, mu)) > floor  # else not a valid member
@@ -122,7 +125,7 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
     backs = iter(fwd_back.tolist())
     dal_entries = []
     for i, (prov, c, res, at, go) in enumerate(
-        zip(dal_prov, conds, d_res.tolist(), d_at.tolist(), ahead.tolist())
+        zip(dal_prov, conds, d_res, d_at, ahead.tolist())
     ):
         dal_entries.append({"conditions": {"double_mass": c.double_mass,
                                            "proportionality": c.proportionality,

@@ -68,6 +68,27 @@ class TestMultipleRoot:
         assert len(roots) == 3  # the zero function, (1, 0, ..., 0) and the constant 1
 
 
+class TestClosure:
+    def test_no_null_space_call_that_keeps_all(self, grid, monkeypatch):
+        # after the one of the symmetry forms, every _null_space call shrinks
+        # Q: the closure stops on the norm test, not on an SVD that finds
+        # nothing outside Q
+        real, shrinks = algebra._null_space, []
+
+        def counting(G):
+            keep = real(G)
+            shrinks.append(keep.shape[1] < G.shape[1])
+            return keep
+
+        monkeypatch.setattr(algebra, "_null_space", counting)
+        systems = [s for s in grid_systems(grid) if not np.array_equal(s[0], s[0].transpose(0, 2, 1))]
+        assert systems
+        for L, tol, draws in systems:
+            shrinks.clear()
+            closed_system_roots(L, tol, draws=draws)
+            assert len(shrinks) == 1 + sum(shrinks[1:])
+
+
 def same_bits(a, b) -> bool:
     (r1, e1, c1), (r2, e2, c2) = a, b
     return (

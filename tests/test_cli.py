@@ -36,15 +36,14 @@ def run(capsys, *argv):
 def forge_family(monkeypatch, kind, values):
     """Make verify's constructed family of `kind` the single member `values`;
     the other kinds keep their real families."""
-    real = verify.family
+    real = verify.family_stack
 
-    def fake_family(k, inst, chars=None, **kw):
+    def fake_family_stack(k, inst, chars=None, **kw):
         if k != kind:
             return real(k, inst, chars, **kw)
-        member = Solution(values=values, residual=0.0, provenance="constructed")
-        return SolutionReport(equation=k, solutions=(member,))
+        return np.asarray(values, dtype=complex)[None]
 
-    monkeypatch.setattr(verify, "family", fake_family)
+    monkeypatch.setattr(verify, "family_stack", fake_family_stack)
 
 
 def s3_cayley():

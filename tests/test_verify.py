@@ -39,16 +39,15 @@ def test_passes_on_z4_d1():
 
 
 def test_forged_family_lands_in_failures(monkeypatch):
-    real = verify.family
+    real = verify.family_stack
     bad = np.full(4, 7.0, dtype=complex)
 
-    def fake_family(kind, inst, chars=None, **kw):
+    def fake_family_stack(kind, inst, chars=None, **kw):
         if kind != "van_vleck":
             return real(kind, inst, chars, **kw)
-        member = Solution(values=bad, residual=0.0, provenance="constructed")
-        return SolutionReport(equation=kind, solutions=(member,))
+        return bad[None]
 
-    monkeypatch.setattr(verify, "family", fake_family)
+    monkeypatch.setattr(verify, "family_stack", fake_family_stack)
     report = fl.verify_instance(Z4_D1)
     assert not report.passed
     first = report.failures[0]
@@ -101,7 +100,7 @@ def test_stack_matches_loop_on_failures(monkeypatch):
     # forged members ahead of the real ones, so that the failure paths run:
     # equations that fail, a cosine-type member of zero mass, and twice a
     # real cosine-type member, whose round trip comes back halved
-    real = verify.family
+    real, real_stack = fl.family, verify.family_stack
     cosine = real("kannappan", Z4_D1).solutions[0].values
     forged = {
         "van_vleck": [np.full(4, 7.0, dtype=complex)],
@@ -116,7 +115,10 @@ def test_stack_matches_loop_on_failures(monkeypatch):
         found = real(kind, inst, chars, **kw).solutions
         return SolutionReport(equation=kind, solutions=members + found)
 
-    monkeypatch.setattr(verify, "family", fake_family)
+    def fake_family_stack(kind, inst, chars=None, **kw):
+        return np.concatenate([np.array(forged[kind]), real_stack(kind, inst, chars, **kw)])
+
+    monkeypatch.setattr(verify, "family_stack", fake_family_stack)
     monkeypatch.setattr(fl, "family", fake_family)  # the loop's family
     got, want = fl.verify_instance(Z4_D1), verify_instance_loop(Z4_D1)
     assert {f["identity"] for f in got.failures} == {
