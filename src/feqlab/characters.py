@@ -78,15 +78,18 @@ def _candidates(p: int) -> np.ndarray:
     return np.concatenate(([0j], np.exp(2j * np.pi * np.arange(p) / p)))
 
 
-def enumerate_multiplicative(sg: FiniteSemigroup, include_zero: bool = False) -> list[np.ndarray]:
-    """All nonzero multiplicative functions, canonically ordered.
+def enumerate_multiplicative(sg: FiniteSemigroup) -> np.ndarray:
+    """All nonzero multiplicative functions as one read-only (m, n) stack,
+    canonically ordered.
 
     Completeness rests on the certificate of closed_system_roots; when no
     draw certifies (a root of very high multiplicity, as at the zero
     function of a deep nilpotent semigroup), the roots of every draw are
     pooled.  The roots are snapped one orbit period at a time and scanned as
-    one stack: one gather checks every pair of every root, and exact repeats
-    keep their first copy.
+    one stack: one gather checks every pair of every root.  dedup_canonical
+    at MULT_TOL drops the zero function and keeps one of each run of exact
+    copies: distinct functions differ by at least 2 sin(pi / p) in some
+    value, so the order, rounded at 1e-8, never ties them.
     """
     L = (sg.cayley == np.arange(sg.order)[:, None, None]) * 2  # 2 chi(x) chi(y) = 2 chi(xy)
     roots, _, _ = closed_system_roots(L, ROOT_TOL, draws=DRAWS)
@@ -98,14 +101,7 @@ def enumerate_multiplicative(sg: FiniteSemigroup, include_zero: bool = False) ->
         nearest = np.abs(roots[:, cols, None] - cands).argmin(axis=2)
         S[:, cols] = cands[nearest]
     deviation = np.abs(S[:, sg.cayley] - S[:, :, None] * S[:, None, :]).max(axis=(1, 2))
-    ok = deviation <= MULT_TOL
-    if not include_zero:
-        ok &= np.abs(S).max(axis=1) > MULT_TOL
-    first: dict[bytes, int] = {}
-    for i in np.flatnonzero(ok).tolist():
-        first.setdefault(S[i].tobytes(), i)
-    S = S[list(first.values())]
-    S = S[canonical_order(S)]
+    S = S[deviation <= MULT_TOL]
+    S = S[dedup_canonical(S, MULT_TOL)]
     S.setflags(write=False)
-    return list(S)
-
+    return S

@@ -26,7 +26,7 @@ import numpy as np
 
 from .equations import SOLUTION_DEGREE, Instance
 from .errors import InvariantViolation
-from .families import Solution, character_integrals, family
+from .families import SolutionReport, character_integrals, family
 from .measures import central_measure, is_tau_invariant
 from .oracle import MATCH_EPS, OracleConfig, match_solution_sets, oracle_solve
 from .semigroups import center, orbit_table, validate_involution, validate_semigroup
@@ -199,8 +199,9 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
     return Instance.of_validated(sg, tau, mu), labels
 
 
-def _solution_json(sol: Solution) -> dict:
-    return {"provenance": sol.provenance, "residual": sol.residual, "values": sol.values}
+def _members_json(report: SolutionReport) -> list[dict]:
+    return [{"provenance": report.provenance, "residual": r, "values": f}
+            for f, r in zip(report.values, report.residuals.tolist())]
 
 
 def cmd_validate(args) -> int:
@@ -249,18 +250,18 @@ def cmd_solve(args) -> int:
     out = {
         "equation": kind,
         "order": inst.sg.order,
-        "solutions": [_solution_json(s) for s in constructed.solutions],
+        "solutions": _members_json(constructed),
     }
     exit_code = EXIT_OK
     if args.oracle:
         cfg = OracleConfig(rng_seed=args.seed)
         found = oracle_solve(kind, inst, cfg)
         eps = inst.mu.tolerance(MATCH_EPS, SOLUTION_DEGREE[kind])
-        result = match_solution_sets(constructed, found, eps)
+        result = match_solution_sets(constructed.values, found.values, eps)
         out["oracle"] = {
             "restarts": cfg.restarts,
             "seed": cfg.rng_seed,
-            "solutions": [_solution_json(s) for s in found.solutions],
+            "solutions": _members_json(found),
         }
         out["match"] = {
             "pairs": result.pairs,

@@ -69,16 +69,23 @@ class Solution:
 
 @dataclass(frozen=True, eq=False)
 class SolutionReport:
-    """Deduplicated, canonically ordered solution set of one equation."""
+    """Deduplicated, canonically ordered solution set of one equation: the
+    read-only (m, n) stack values, the (m,) float array residuals, and where
+    every member comes from ("constructed" or "oracle")."""
 
     equation: str
-    solutions: tuple[Solution, ...]
+    values: np.ndarray
+    residuals: np.ndarray
+    provenance: str
 
-    def values(self) -> list[np.ndarray]:
-        return [s.values for s in self.solutions]
+    @property
+    def solutions(self) -> tuple[Solution, ...]:
+        """The members one at a time: row i of values with residual i."""
+        return tuple(Solution(f, r, self.provenance)
+                     for f, r in zip(self.values, self.residuals.tolist()))
 
     def __len__(self) -> int:
-        return len(self.solutions)
+        return len(self.values)
 
 
 def _stack(inst: Instance, chars) -> np.ndarray:
@@ -97,8 +104,8 @@ def character_integrals(inst: Instance, chars=None) -> CharacterIntegrals:
 
 
 def family_stack(kind: str, inst: Instance, chars=None, integrals=None) -> np.ndarray:
-    """The members of family(kind, ...) as one (m, n) stack in canonical
-    order: one expression over the stack of the characters that
+    """The members of family(kind, ...) as one read-only (m, n) stack in
+    canonical order: one expression over the stack of the characters that
     integrals.admissible(kind) keeps (see the module docstring).
     integrals is character_integrals(inst, chars), if the caller has it."""
     perm = inst.tau.perm
@@ -116,18 +123,20 @@ def family_stack(kind: str, inst: Instance, chars=None, integrals=None) -> np.nd
             F = 0.5 * (X + X[:, perm])[keep] * integrals.int_mu[keep, None]
     scale = inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
     eps = inst.mu.tolerance(DEDUP_EPS, SOLUTION_DEGREE[kind])
-    return F[dedup_canonical(F, eps, scale)]
+    F = F[dedup_canonical(F, eps, scale)]
+    F.setflags(write=False)
+    return F
 
 
 def family(kind: str, inst: Instance, chars=None, integrals=None) -> SolutionReport:
-    """Constructed solutions of one equation, family_stack with residuals.
-    van_vleck: all nonzero solutions (chi and chi o tau give the same
-    member); kannappan: all nonzero abelian solutions; dalembert: the
-    abelian solutions (mu is ignored, so no integral is computed)."""
+    """Constructed solutions of one equation: the stack family_stack returns
+    with the residual of every row.  van_vleck: all nonzero solutions (chi
+    and chi o tau give the same member); kannappan: all nonzero abelian
+    solutions; dalembert: the abelian solutions (mu is ignored, so no
+    integral is computed)."""
     F = family_stack(kind, inst, chars, integrals)
     res, _ = residuals(kind, F, inst)
-    sols = tuple(Solution(f, r, "constructed") for f, r in zip(F, res.tolist()))
-    return SolutionReport(equation=kind, solutions=sols)
+    return SolutionReport(kind, F, res, "constructed")
 
 
 def van_vleck_family(inst: Instance, chars=None) -> SolutionReport:
@@ -140,14 +149,14 @@ def kannappan_abelian_family(inst: Instance, chars=None) -> SolutionReport:
     return family("kannappan", inst, chars)
 
 
-def dalembert_abelian_family(sg: FiniteSemigroup, tau: Involution, chars=None) -> list[np.ndarray]:
+def dalembert_abelian_family(sg: FiniteSemigroup, tau: Involution, chars=None) -> np.ndarray:
     """Even parts g = (chi + chi o tau)/2 of the multiplicative functions, as
-    a bare list, once tau is validated.  The equation has no measure; they
+    the bare stack, once tau is validated.  The equation has no measure; they
     are built on the zero one."""
     validate_involution(sg, tau.perm)
     no_mu = CentralMeasure(points=np.zeros(0, np.int64), weights=np.zeros(0, complex))
     inst = Instance.of_validated(sg, tau, no_mu)
-    return family("dalembert", inst, chars).values()
+    return family_stack("dalembert", inst, chars)
 
 
 # ---------------------------------------------------------------------------

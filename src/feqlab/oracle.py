@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .algebra import closed_system_roots
 from .characters import dedup_canonical, max_abs_distances
 from .equations import SOLUTION_DEGREE, Instance, linear_part
-from .families import Solution, SolutionReport
+from .families import SolutionReport
 
 
 CONVERGE_TOL = 1e-12  # residual check on the system scaled to ||mu|| = 1
@@ -42,12 +43,8 @@ class NoConvergenceBudget(RuntimeWarning):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    restarts: int = 400  # at most this many combinations are drawn
+    restarts: ClassVar[int] = 400  # at most this many combinations are drawn
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
 
 
 def thread_count() -> int:
@@ -62,7 +59,8 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
     The measure is ignored for kind "dalembert".  As in the construction,
     the zero solution and near-duplicates are dropped (dedup_canonical at
     MATCH_EPS, scaled like the solutions) and the rest is canonically
-    sorted; each keeps the residual the solver computed for it.
+    sorted; the report holds the solver's read-only stack of them and the
+    residual the solver computed for each.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -83,13 +81,7 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
     keep = dedup_canonical(roots, inst.mu.tolerance(MATCH_EPS, degree), s)
     finals = roots[keep]
     finals.setflags(write=False)
-    return SolutionReport(
-        equation=kind,
-        solutions=tuple(
-            Solution(values=f, residual=r, provenance="oracle")
-            for f, r in zip(finals, res[keep].tolist())
-        ),
-    )
+    return SolutionReport(kind, finals, res[keep], "oracle")
 
 
 @dataclass(frozen=True)
@@ -106,12 +98,12 @@ class MatchResult:
 
 
 def match_solution_sets(a, b, eps: float = MATCH_EPS) -> MatchResult:
-    """Match members of a against members of b at max-abs distance <= eps."""
-    left = a.values() if isinstance(a, SolutionReport) else list(a)
-    right = b.values() if isinstance(b, SolutionReport) else list(b)
-    close = max_abs_distances(left, right) <= eps
+    """Match the rows of the stack a against the rows of the stack b at
+    max-abs distance <= eps, from one distance matrix (a report passes its
+    values)."""
+    close = max_abs_distances(a, b) <= eps
     allowed = [np.flatnonzero(row).tolist() for row in close]
-    owner = [-1] * len(right)
+    owner = [-1] * len(b)
 
     def augment(i: int, seen: list[bool]) -> bool:
         for j in allowed[i]:
@@ -122,12 +114,12 @@ def match_solution_sets(a, b, eps: float = MATCH_EPS) -> MatchResult:
                     return True
         return False
 
-    for i in range(len(left)):
-        augment(i, [False] * len(right))
+    for i in range(len(a)):
+        augment(i, [False] * len(b))
     pairs = tuple(sorted((i, j) for j, i in enumerate(owner) if i >= 0))
     matched_left = {i for i, _ in pairs}
     return MatchResult(
         pairs=pairs,
-        unmatched_left=tuple(i for i in range(len(left)) if i not in matched_left),
-        unmatched_right=tuple(j for j in range(len(right)) if owner[j] < 0),
+        unmatched_left=tuple(i for i in range(len(a)) if i not in matched_left),
+        unmatched_right=tuple(j for j in range(len(b)) if owner[j] < 0),
     )

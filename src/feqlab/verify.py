@@ -59,7 +59,7 @@ class VerifyReport:
 def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyReport:
     """Run every check on inst."""
     integrals = character_integrals(inst)
-    mu, n = inst.mu, inst.sg.order
+    mu = inst.mu
     floor = mu.tolerance(ADMISSIBLE_TOL, 2)  # below it, int f dmu counts as zero
     failures: list[dict] = []
 
@@ -69,9 +69,8 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
 
     def solutions(kind):
         built = family_stack(kind, inst, integrals=integrals)
-        found = oracle_solve(kind, inst, cfg).values()
-        F = np.array([*built, *found], dtype=np.complex128).reshape(-1, n)
-        return ["constructed"] * len(built) + ["oracle"] * len(found), F
+        found = oracle_solve(kind, inst, cfg).values
+        return ["constructed"] * len(built) + ["oracle"] * len(found), np.concatenate([built, found])
 
     def suite_entries(kind, provenance, F):
         eq_res, eq_at = residuals(kind, F, inst)
@@ -93,9 +92,10 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
     kan_prov, K = solutions("kannappan")
     kan_entries = suite_entries("kannappan", kan_prov, K)
 
-    # bijection round-trips on the cosine-type solutions, which need a mass;
-    # their images G take the d'Alembert checks in one stack with the solutions D
-    live = np.abs(total_mass_integral(K, mu)) > floor
+    # bijection round-trips on the cosine-type solutions, which need a mass
+    # (the suites' int f dmu); their images G take the d'Alembert checks in
+    # one stack with the solutions D
+    live = np.abs(np.array([e["mass"] for e in kan_entries], dtype=np.complex128)) > floor
     G = kannappan_to_dalembert(K[live], inst)
     back = np.abs(dalembert_to_kannappan(G, inst) - K[live]).max(axis=1)
     dal_prov, D = solutions("dalembert")

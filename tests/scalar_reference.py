@@ -161,15 +161,10 @@ def van_vleck_family_dirac(
         if abs(chi[z0]) <= tol or abs(chi[tz0] + chi[z0]) >= tol:
             continue
         funcs.append(complex(chi[tz0]) * 0.5 * (chi - chi[inst.tau.perm]))
-    sols = tuple(
-        fl.Solution(
-            values=f,
-            residual=fl.residual("van_vleck", f, inst).max_abs,
-            provenance="constructed",
-        )
-        for f in dedup_canonical_loop(funcs, eps=dedup_eps)
-    )
-    return fl.SolutionReport(equation="van_vleck", solutions=sols)
+    kept = dedup_canonical_loop(funcs, eps=dedup_eps)
+    F = np.array(kept, dtype=np.complex128).reshape(len(kept), inst.sg.order)
+    res = np.array([fl.residual("van_vleck", f, inst).max_abs for f in F])
+    return fl.SolutionReport("van_vleck", F, res, "constructed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +219,7 @@ def family_loop(kind: str, inst: fl.Instance, chars=None) -> fl.SolutionReport:
     degree = SOLUTION_DEGREE[kind]
     F = F[dedup_canonical(F, inst.mu.tolerance(DEDUP_EPS, degree), inst.mu.tolerance(1.0, degree))]
     res, _ = residuals(kind, F, inst)
-    sols = tuple(fl.Solution(f, r, "constructed") for f, r in zip(F, res.tolist()))
-    return fl.SolutionReport(equation=kind, solutions=sols)
+    return fl.SolutionReport(kind, F, res, "constructed")
 
 
 def dedup_canonical_loop(funcs, eps: float, scale: float = 1.0) -> list[np.ndarray]:
@@ -239,9 +233,7 @@ def dedup_canonical_loop(funcs, eps: float, scale: float = 1.0) -> list[np.ndarr
     return out
 
 
-def enumerate_multiplicative_loop(
-    sg: fl.FiniteSemigroup, include_zero: bool = False
-) -> list[np.ndarray]:
+def enumerate_multiplicative_loop(sg: fl.FiniteSemigroup) -> list[np.ndarray]:
     """enumerate_multiplicative with one is_multiplicative scan per snapped
     root and exact repeats dropped through a dict of their bytes."""
     n = sg.order
@@ -255,15 +247,14 @@ def enumerate_multiplicative_loop(
         snapped[:, x] = cands[nearest]
     found: dict[bytes, np.ndarray] = {}
     for chi in snapped:
-        if is_multiplicative(sg, chi) and (include_zero or max_abs(chi) > MULT_TOL):
+        if is_multiplicative(sg, chi) and max_abs(chi) > MULT_TOL:
             found.setdefault(chi.tobytes(), chi)
     return sorted(found.values(), key=canonical_key)
 
 
 def match_solution_sets_loop(a, b, eps: float = MATCH_EPS) -> MatchResult:
     """match_solution_sets with the allowed lists built one pair at a time."""
-    left = a.values() if isinstance(a, fl.SolutionReport) else list(a)
-    right = b.values() if isinstance(b, fl.SolutionReport) else list(b)
+    left, right = list(a), list(b)
     allowed = [
         [j for j, g in enumerate(right) if max_abs_diff(f, g) <= eps] for f in left
     ]

@@ -1,7 +1,7 @@
 """The benchmark harness still runs against the package: every module,
 function and option name it reads must exist, its response checks must
-pass on a short ladder-oracle run, and its library request must pass on
-the corpus."""
+pass on a short traced run of each workload, and its library request must
+pass on the corpus."""
 from __future__ import annotations
 
 import contextlib
@@ -29,14 +29,25 @@ def test_selftest_passes():
     assert done.returncode == 0, done.stderr
 
 
-def test_traced_ladder_run_has_no_failures():
+def assert_traced_run_has_no_failures(workload: str) -> None:
+    """One round of the workload under the tracer, whose counts read len()
+    of the reports and stacks the package returns."""
     done = run_harness(
-        "perfbench/run.py", "--workload", "ladder-oracle", "--seed", "1",
+        "perfbench/run.py", "--workload", workload, "--seed", "1",
         "--seconds", "0", "--trace", "1",
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
+
+
+def test_traced_ladder_run_has_no_failures():
+    assert_traced_run_has_no_failures("ladder-oracle")
+
+
+def test_traced_corpus_run_has_no_failures():
+    # the one workload that runs verify-theorems, chars and validate
+    assert_traced_run_has_no_failures("corpus-mix")
 
 
 def test_suites_request_passes_on_corpus(tmp_path, monkeypatch):

@@ -160,13 +160,6 @@ class TestEnumerate:
                 for j in range(i + 1, len(chars)):
                     assert max_abs_diff(chars[i], chars[j]) > 1e-8
 
-    def test_include_zero_flag(self):
-        sg = fl.cyclic_group(3)
-        with_zero = fl.enumerate_multiplicative(sg, include_zero=True)
-        without = fl.enumerate_multiplicative(sg)
-        assert len(with_zero) == len(without) + 1
-        assert any(np.max(np.abs(chi)) == 0 for chi in with_zero)
-
 
 class TestComposeTau:
     def test_identity_tau(self):

@@ -12,7 +12,7 @@ import pytest
 
 import feqlab as fl
 from feqlab import cli, verify
-from feqlab.families import Solution, SolutionReport
+from feqlab.families import SolutionReport
 
 
 def write_spec(tmp_path, name="inst.json", **overrides):
@@ -202,13 +202,8 @@ class TestSolveCommand:
     def test_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         # forge an oracle that reports a bogus extra solution
         def fake_oracle(kind, inst, cfg=None):
-            bogus = np.full(inst.sg.order, 9.0, dtype=complex)
-            return SolutionReport(
-                equation=kind,
-                solutions=(
-                    Solution(values=bogus, residual=0.0, provenance="oracle"),
-                ),
-            )
+            bogus = np.full((1, inst.sg.order), 9.0, dtype=complex)
+            return SolutionReport(kind, bogus, np.zeros(1), "oracle")
 
         monkeypatch.setattr(cli, "oracle_solve", fake_oracle)
         path = write_spec(tmp_path)

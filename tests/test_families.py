@@ -29,7 +29,7 @@ def make_inst(sg, tau, atoms):
 
 
 def values_of(report):
-    return [s.values for s in report.solutions]
+    return report.values
 
 
 def same_sets(a, b, eps=1e-8):
@@ -206,13 +206,13 @@ class TestFamilyBuilder:
             got = fl.family(kind, inst, chars)
             assert got.equation == kind
             if kind == "van_vleck":
-                want = fl.van_vleck_family(inst, chars).values()
+                want = fl.van_vleck_family(inst, chars).values
             elif kind == "kannappan":
-                want = fl.kannappan_abelian_family(inst, chars).values()
+                want = fl.kannappan_abelian_family(inst, chars).values
             else:
                 want = fl.dalembert_abelian_family(inst.sg, inst.tau, chars)
             assert len(got) == len(want), case.name
-            assert all(np.array_equal(f, g) for f, g in zip(got.values(), want)), case.name
+            assert all(np.array_equal(f, g) for f, g in zip(got.values, want)), case.name
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -432,7 +432,7 @@ class TestGathersMatchScalarReference:
     def test_van_vleck_suite(self, grid):
         for case in grid:
             inst = case.inst
-            for f in fl.van_vleck_family(inst, case.chars).values():
+            for f in fl.van_vleck_family(inst, case.chars).values:
                 got = fl.van_vleck_identity_suite(f, inst).residuals
                 want = scalar_sandwich_residuals(f, inst, -1)
                 want["double_mass_plain"] = abs(double_integral(inst.sg, f, inst.mu))
@@ -445,7 +445,7 @@ class TestGathersMatchScalarReference:
     def test_kannappan_suite(self, grid):
         for case in grid:
             inst = case.inst
-            for f in fl.kannappan_abelian_family(inst, case.chars).values():
+            for f in fl.kannappan_abelian_family(inst, case.chars).values:
                 got = fl.kannappan_identity_suite(f, inst).residuals
                 for name, value in scalar_sandwich_residuals(f, inst, 1).items():
                     assert abs(got[name] - value) <= GATHER_TOL, (case.name, name)
@@ -461,7 +461,7 @@ class TestGathersMatchScalarReference:
     def test_associated_dalembert_double_mass(self, grid):
         for case in grid:
             inst = case.inst
-            for f in fl.van_vleck_family(inst, case.chars).values():
+            for f in fl.van_vleck_family(inst, case.chars).values:
                 g, report = associated_dalembert(f, inst)
                 want = double_integral(inst.sg, g, inst.mu)
                 assert abs(report.double_mass - want) <= GATHER_TOL, case.name

@@ -53,7 +53,7 @@ def scaled(name, lam):
 @pytest.fixture(scope="module")
 def unit_families():
     return {
-        (name, kind): fl.family(kind, scaled(name, 1)).values()
+        (name, kind): fl.family(kind, scaled(name, 1)).values
         for name in CASES
         for kind in fl.KINDS
     }
@@ -68,11 +68,11 @@ def test_solution_sets_scale_with_mu(name, lam, unit_families):
         want = [factor * f for f in unit_families[name, kind]]
         eps = 1e-9 * abs(factor)
         built = fl.family(kind, inst)
-        assert fl.match_solution_sets(want, built, eps).is_match, kind
+        assert fl.match_solution_sets(want, built.values, eps).is_match, kind
         with warnings.catch_warnings():
             warnings.simplefilter("error", fl.NoConvergenceBudget)
             found = fl.oracle_solve(kind, inst)
-        assert fl.match_solution_sets(want, found, eps).is_match, kind
+        assert fl.match_solution_sets(want, found.values, eps).is_match, kind
     report = fl.verify_instance(inst)
     assert report.passed, report.failures[:1]
 
@@ -88,8 +88,8 @@ def test_member_order_scales_with_mu(name, lam):
     for kind in fl.KINDS:
         factor = size ** SOLUTION_DEGREE[kind]
         for solve in (fl.family, fl.oracle_solve):
-            want = solve(kind, unit).values()
-            got = solve(kind, inst).values()
+            want = solve(kind, unit).values
+            got = solve(kind, inst).values
             assert len(got) == len(want), (kind, solve.__name__)
             for f, g in zip(want, got):
                 assert max_abs_diff(factor * f, g) <= 1e-9 * factor, (kind, solve.__name__)

@@ -100,6 +100,19 @@ def test_match_matches_loop_on_random_stacks(seed):
     assert fl.match_solution_sets(left, right, 0.25) == match_solution_sets_loop(left, right, 0.25)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_match_on_stacks_matches_loop(seed):
+    # read-only (m, n) stacks as reports hold them, empty ones included
+    rng = np.random.default_rng(seed)
+    F = near_duplicates(rng, 12, 3, 1e-6)
+    F.setflags(write=False)
+    for k in (0, 1, int(rng.integers(2, 12))):
+        for left, right in ((F[:k], F[6:]), (F[6:], F[:k])):
+            assert fl.match_solution_sets(left, right, 1e-6) == match_solution_sets_loop(
+                left, right, 1e-6
+            ), k
+
+
 def test_empty_stacks():
     empty = np.zeros((0, 3), dtype=complex)
     assert dedup_canonical(empty, 1e-8).size == 0
@@ -120,14 +133,32 @@ def test_grid_dedup_and_match_match_loops(grid, oracle_cache):
             built = fl.family(kind, case.inst, case.chars)
             found = oracle_cache(case, kind)
             n = case.inst.sg.order
-            F = np.array(built.values() + found.values() + [np.zeros(n)]).reshape(-1, n)
+            F = np.concatenate([built.values, found.values, np.zeros((1, n))])
             scale = mu.tolerance(1.0, d)
             for eps in (mu.tolerance(DEDUP_EPS, d), mu.tolerance(MATCH_EPS, d)):
                 got = F[dedup_canonical(F, eps, scale)]
                 assert_same_rows(got, dedup_canonical_loop(list(F), eps, scale))
-                assert fl.match_solution_sets(built, found, eps) == match_solution_sets_loop(
-                    built, found, eps
-                ), (case.name, kind)
+                assert fl.match_solution_sets(
+                    built.values, found.values, eps
+                ) == match_solution_sets_loop(built.values, found.values, eps), (case.name, kind)
+
+
+@pytest.mark.parametrize("kind", fl.KINDS)
+def test_reports_hold_one_read_only_stack(grid, oracle_cache, kind):
+    """family and oracle_solve report the solver's (m, n) stack and (m,)
+    residuals; the per-member view reads row i of both, bit for bit."""
+    for case in grid:
+        n = case.inst.sg.order
+        for rep in (fl.family(kind, case.inst, case.chars), oracle_cache(case, kind)):
+            F, res, m = rep.values, rep.residuals, len(rep)
+            assert F.shape == (m, n) and F.dtype == np.complex128, case.name
+            assert F.flags.c_contiguous and not F.flags.writeable, case.name
+            assert res.shape == (m,) and res.dtype == np.float64, case.name
+            assert len(rep.solutions) == m
+            for i, sol in enumerate(rep.solutions):
+                assert sol.values.tobytes() == F[i].tobytes(), case.name
+                assert np.float64(sol.residual).tobytes() == res[i].tobytes(), case.name
+                assert sol.provenance == rep.provenance
 
 
 def test_enumerate_matches_loop():
@@ -140,10 +171,9 @@ def test_enumerate_matches_loop():
         fl.direct_product(fl.cyclic_group(2), fl.cyclic_group(2)),
     )
     for name, sg in zoo.items():
-        for include_zero in (False, True):
-            got = fl.enumerate_multiplicative(sg, include_zero)
-            assert_same_rows(got, enumerate_multiplicative_loop(sg, include_zero))
-            assert all(not chi.flags.writeable for chi in got), name
+        got = fl.enumerate_multiplicative(sg)
+        assert_same_rows(got, enumerate_multiplicative_loop(sg))
+        assert not got.flags.writeable, name
 
 
 # ---------------------------------------------------------------------------

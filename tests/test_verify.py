@@ -14,7 +14,6 @@ from feqlab import verify
 from feqlab.equations import residuals
 from feqlab.families import (
     MU_DEGREE,
-    Solution,
     SolutionReport,
     identity_suites,
     integral_conditions,
@@ -109,11 +108,10 @@ def test_stack_matches_loop_on_failures(monkeypatch):
     }
 
     def fake_family(kind, inst, chars=None, **kw):
-        members = tuple(
-            Solution(values=f, residual=0.0, provenance="constructed") for f in forged[kind]
-        )
-        found = real(kind, inst, chars, **kw).solutions
-        return SolutionReport(equation=kind, solutions=members + found)
+        built = real(kind, inst, chars, **kw)
+        F = np.concatenate([np.array(forged[kind]), built.values])
+        res = np.concatenate([np.zeros(len(forged[kind])), built.residuals])
+        return SolutionReport(kind, F, res, "constructed")
 
     def fake_family_stack(kind, inst, chars=None, **kw):
         return np.concatenate([np.array(forged[kind]), real_stack(kind, inst, chars, **kw)])
