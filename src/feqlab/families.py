@@ -15,7 +15,6 @@ reachable only through the numeric oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -205,62 +204,62 @@ def kannappan_to_dalembert(f, inst: Instance) -> np.ndarray:
     return right_integral_table(inst.sg, f, inst.mu) / mass[..., None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DalembertConditions:
-    """Truth values (and deviations) of the three equivalent integral
-    conditions a d'Alembert solution must satisfy to be admissible:
+    """The three equivalent integral conditions an admissible d'Alembert
+    solution g satisfies, for every row g of an (m, n) stack:
 
     tau_shift:       int g(x t) dmu = int g(x tau(t)) dmu  for all x
     proportionality: int g(x t) dmu = g(x) int g dmu       for all x
     double_mass:     int int g(t s) dmu dmu = (int g dmu)^2
-    """
 
-    tau_shift: bool
-    proportionality: bool
-    double_mass: bool
-    deviations: tuple[float, float, float]
-    mass: complex
+    holds and deviations have shape (m, 3), one column per condition in
+    that order; mass is int g dmu, shape (m,)."""
+
+    holds: np.ndarray
+    deviations: np.ndarray
+    mass: np.ndarray
     mu: CentralMeasure
 
     @property
-    def consistent(self) -> bool:
-        return self.tau_shift == self.proportionality == self.double_mass
+    def consistent(self) -> np.ndarray:
+        """(m,) mask: the three conditions agree."""
+        return self.holds.all(axis=1) == self.holds.any(axis=1)
 
     @property
-    def all_hold(self) -> bool:
-        return self.tau_shift and self.proportionality and self.double_mass
+    def all_hold(self) -> np.ndarray:
+        return self.holds.all(axis=1)
 
-    def admissible(self) -> bool:
-        """A mass above mu.tolerance(ADMISSIBLE_TOL, 1) and all three conditions."""
-        if not self.consistent:
-            raise EquivalenceViolation(self.tau_shift, self.proportionality, self.double_mass)
-        return abs(self.mass) > self.mu.tolerance(ADMISSIBLE_TOL, 1) and self.all_hold
+    @property
+    def admissible(self) -> np.ndarray:
+        """(m,) mask: a mass above mu.tolerance(ADMISSIBLE_TOL, 1) and all
+        three conditions."""
+        return (np.abs(self.mass) > self.mu.tolerance(ADMISSIBLE_TOL, 1)) & self.all_hold
 
 
-def integral_conditions(G, inst: Instance) -> list[DalembertConditions]:
-    """The three conditions for every row g of the (m, n) stack G, bit for bit
+def integral_conditions(G, inst: Instance) -> DalembertConditions:
+    """The three conditions on every row g of the (m, n) stack G, bit for bit
     as alone, each deviation compared with mu.tolerance(ADMISSIBLE_TOL, d) for
     its degree d in mu (1 for the shift tables, 2 for the double mass)."""
     G = np.asarray(G)
     mu = inst.mu
-    tol = [mu.tolerance(ADMISSIBLE_TOL, d) for d in (1, 2)]
+    tol1 = mu.tolerance(ADMISSIBLE_TOL, 1)
     plain, tilted = _leads(inst)
     r = right_integral_table(inst.sg, G, mu)
     r_tau = _shifted_sums(G, inst, tilted)
     mass = atom_sum(G[:, plain], mu)
     dd = _double_mass(r, inst, plain)
-    d_shift = np.abs(r - r_tau).max(axis=1).tolist()
-    d_prop = np.abs(r - cmul(G, mass[:, None])).max(axis=1).tolist()
-    d_mass = np.abs(dd - cmul(mass, mass)).tolist()
-    return [
-        DalembertConditions(a <= tol[0], b <= tol[0], c <= tol[1], (a, b, c), m, mu)
-        for a, b, c, m in zip(d_shift, d_prop, d_mass, mass.tolist())
-    ]
+    dev = np.array([
+        np.abs(r - r_tau).max(axis=1),
+        np.abs(r - cmul(G, mass[:, None])).max(axis=1),
+        np.abs(dd - cmul(mass, mass)),
+    ]).T
+    return DalembertConditions(dev <= [tol1, tol1, mu.tolerance(ADMISSIBLE_TOL, 2)], dev, mass, mu)
 
 
 def dalembert_integral_conditions(g, inst: Instance) -> DalembertConditions:
-    """integral_conditions of the single function g."""
-    return integral_conditions(np.asarray(g)[None], inst)[0]
+    """integral_conditions of the single function g, a stack of one."""
+    return integral_conditions(np.asarray(g)[None], inst)
 
 
 def dalembert_admissible(g, inst: Instance) -> bool:
@@ -270,7 +269,10 @@ def dalembert_admissible(g, inst: Instance) -> bool:
     Raises EquivalenceViolation when the three conditions disagree, which for
     a genuine d'Alembert solution cannot happen.
     """
-    return dalembert_integral_conditions(g, inst).admissible()
+    conds = dalembert_integral_conditions(g, inst)
+    if not conds.consistent[0]:
+        raise EquivalenceViolation(*conds.holds[0].tolist())
+    return bool(conds.admissible[0])
 
 
 # ---------------------------------------------------------------------------
@@ -289,53 +291,38 @@ MU_DEGREE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuiteReport:
-    """Residuals of the identities a solution must satisfy, where each
-    identity attains its worst deviation, the measure integral of the
-    solution itself (which must be nonzero when required), and the measure
-    the thresholds are taken from."""
+    """The identity suite of every row of an (m, n) stack: the worst
+    deviation of each identity named in names, shape (m, k); where each
+    identity attains it, one (m, d) array per identity (d = 0 for a double
+    mass); the measure integral of every row, shape (m,); and the failed
+    checks, shape (m, k + 1), whose last column is nonzero_mass."""
 
-    residuals: Mapping[str, float]
-    argmax: Mapping[str, tuple[int, ...]]
-    mass: complex
-    mass_required: bool
-    mu: CentralMeasure
+    names: tuple[str, ...]
+    deviations: np.ndarray
+    argmax: tuple[np.ndarray, ...]
+    mass: np.ndarray
+    failed: np.ndarray
 
-    @classmethod
-    def of(cls, checks, mass: complex, mass_required: bool, mu: CentralMeasure) -> "SuiteReport":
-        """From one dict of (residual, argmax) pairs by identity name."""
-        return cls(
-            residuals={name: dev for name, (dev, _) in checks.items()},
-            argmax={name: at for name, (_, at) in checks.items()},
-            mass=mass,
-            mass_required=mass_required,
-            mu=mu,
-        )
-
-    def worst(self) -> float:
-        return max(self.residuals.values())
-
-    def failures(self) -> list[str]:
-        """Identities off by more than mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name]),
-        and nonzero_mass for a required mass (degree 2) within
-        mu.tolerance(ADMISSIBLE_TOL, 2) of zero."""
-        bad = [
-            name
-            for name, dev in self.residuals.items()
-            if dev > self.mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name])
-        ]
-        if self.mass_required and abs(self.mass) <= self.mu.tolerance(ADMISSIBLE_TOL, 2):
-            bad.append("nonzero_mass")
-        return bad
-
-    def passed(self) -> bool:
-        return not self.failures()
+    def failures(self, i: int = 0) -> list[str]:
+        """The names of the checks row i fails."""
+        return [name for name, bad in zip(self.names + ("nonzero_mass",), self.failed[i]) if bad]
 
 
-def identity_suites(kind: str, F, inst: Instance) -> list[SuiteReport]:
-    """The identity suite of every row f of the (m, n) stack F, bit for bit as
-    alone, for kind van_vleck or kannappan.
+def _failed(names, deviations, mass, required, mu: CentralMeasure) -> np.ndarray:
+    """SuiteReport.failed: identity name off by more than
+    mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name]), and last a mass within
+    mu.tolerance(ADMISSIBLE_TOL, 2) of zero where required (a mask or True)."""
+    tol = [mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name]) for name in names]
+    small = required & (np.abs(mass) <= mu.tolerance(ADMISSIBLE_TOL, 2))
+    return np.concatenate([deviations > tol, small[:, None]], axis=1)
+
+
+def identity_suites(kind: str, F, inst: Instance) -> SuiteReport:
+    """The identity suites of the rows f of the (m, n) stack F as one table,
+    row i bit for bit as f alone, for kind van_vleck or kannappan; each
+    identity's tolerance is taken once for the whole stack.
 
     van_vleck, every nonzero sine-type solution:
     odd_part:          f o tau = -f
@@ -367,32 +354,28 @@ def identity_suites(kind: str, F, inst: Instance) -> list[SuiteReport]:
             "sandwich_plain": _shifted_sums(r, inst, plain) + f_mass,
             "shift_symmetry": r[:, perm] - r,
         }
-        required = [True] * len(F)
+        required = True
     elif kind == "kannappan":
         checks = {
             "even_part": F - F[:, perm],
             "sandwich_tau": _shifted_sums(r, inst, tilted) - f_mass,
             "sandwich_plain": _shifted_sums(r, inst, plain) - f_mass,
         }
-        required = (np.abs(F).max(axis=1) > mu.tolerance(DEDUP_EPS, 1)).tolist()
+        required = np.abs(F).max(axis=1) > mu.tolerance(DEDUP_EPS, 1)
     else:
         raise ValueError(f"no identity suite for kind {kind!r}")
-    columns = [  # worst deviation over x and where, none for a double mass
-        zip(worst.tolist(), map(tuple, at.tolist()))
-        for worst, at in map(_worst_rows, checks.values())
-    ]
-    return [
-        SuiteReport.of(dict(zip(checks, row)), m, mass_required=req, mu=mu)
-        for m, req, *row in zip(mass.tolist(), required, *columns)
-    ]
+    names = tuple(checks)
+    worst, argmax = zip(*map(_worst_rows, checks.values()))
+    deviations = np.array(worst).T
+    return SuiteReport(names, deviations, argmax, mass, _failed(names, deviations, mass, required, mu))
 
 
 def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:
-    """identity_suites of the single sine-type solution f."""
-    return identity_suites("van_vleck", np.asarray(f)[None], inst)[0]
+    """identity_suites of the single sine-type solution f, a stack of one."""
+    return identity_suites("van_vleck", np.asarray(f)[None], inst)
 
 
 def kannappan_identity_suite(f, inst: Instance) -> SuiteReport:
-    """identity_suites of the single cosine-type solution f."""
-    return identity_suites("kannappan", np.asarray(f)[None], inst)[0]
+    """identity_suites of the single cosine-type solution f, a stack of one."""
+    return identity_suites("kannappan", np.asarray(f)[None], inst)
 

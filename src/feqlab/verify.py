@@ -9,8 +9,10 @@ none raises.
 
 The solutions of one kind are checked as one (m, n) stack, the constructed
 members of family_stack and then those oracle_solve finds, each check one
-call for the whole set, whose numbers for a member are those of the
-single-function calls (residual, van_vleck_identity_suite, ...).
+call for the whole set.  identity_suites and integral_conditions return one
+table each, whose pass/fail masks verify_instance reads; a member's row
+holds the numbers of the single-function calls (residual,
+van_vleck_identity_suite, ...) on that member alone.
 
 Tolerances are mu.tolerance(TOL, d) = TOL * ||mu||**d, for the constants
 TOL = RESIDUAL_TOL and ADMISSIBLE_TOL, ||mu|| the total variation and d the
@@ -37,6 +39,8 @@ from .families import (
 )
 from .measures import total_mass_integral
 from .oracle import OracleConfig, oracle_solve
+
+CONDITIONS = ("tau_shift", "proportionality", "double_mass")  # the columns of DalembertConditions
 
 
 @dataclass(frozen=True)
@@ -74,73 +78,78 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
 
     def suite_entries(kind, provenance, F):
         eq_res, eq_at = residuals(kind, F, inst)
-        eq_tol = mu.tolerance(RESIDUAL_TOL, 2 * SOLUTION_DEGREE[kind])
+        eq_bad = eq_res > mu.tolerance(RESIDUAL_TOL, 2 * SOLUTION_DEGREE[kind])
+        suites = identity_suites(kind, F, inst)
+        names = suites.names + ("nonzero_mass",)
+        argmax = [a.tolist() for a in suites.argmax] + [[()] * len(F)]
         entries = []
-        for i, (prov, suite, res, at) in enumerate(
-            zip(provenance, identity_suites(kind, F, inst), eq_res.tolist(), eq_at.tolist())
-        ):
-            entries.append({"equation_residual": res, "identities": dict(suite.residuals),
-                            "mass": suite.mass, "provenance": prov, "solution_index": i})
-            if res > eq_tol:
+        for i, (prov, res, at, bad, devs, failed, m) in enumerate(zip(
+            provenance, eq_res.tolist(), eq_at.tolist(), eq_bad.tolist(),
+            suites.deviations.tolist(), suites.failed.tolist(), suites.mass.tolist(),
+        )):
+            entries.append({"equation_residual": res, "identities": dict(zip(suites.names, devs)),
+                            "mass": m, "provenance": prov, "solution_index": i})
+            if bad:
                 fail(f"{kind}_equation", res, prov, i, at)
-                continue
-            for name in suite.failures():
-                fail(name, suite.residuals.get(name, 0.0), prov, i, suite.argmax.get(name, ()))
-        return entries
+            elif any(failed):
+                for name, hit, dev, where in zip(names, failed, devs + [0.0], argmax):
+                    if hit:
+                        fail(name, dev, prov, i, where[i])
+        return entries, suites.mass
 
-    vv_entries = suite_entries("van_vleck", *solutions("van_vleck"))
+    vv_entries, _ = suite_entries("van_vleck", *solutions("van_vleck"))
     kan_prov, K = solutions("kannappan")
-    kan_entries = suite_entries("kannappan", kan_prov, K)
+    kan_entries, kan_mass = suite_entries("kannappan", kan_prov, K)
 
     # bijection round-trips on the cosine-type solutions, which need a mass
     # (the suites' int f dmu); their images G take the d'Alembert checks in
     # one stack with the solutions D
-    live = np.abs(np.array([e["mass"] for e in kan_entries], dtype=np.complex128)) > floor
+    live = np.abs(kan_mass) > floor
     G = kannappan_to_dalembert(K[live], inst)
     back = np.abs(dalembert_to_kannappan(G, inst) - K[live]).max(axis=1)
     dal_prov, D = solutions("dalembert")
     GD = np.concatenate([G, D])
     conds = integral_conditions(GD, inst)
-    d_res, d_at = (a.tolist() for a in residuals("dalembert", GD, inst))
-    rows = zip(conds, d_res, d_at, back.tolist())  # the rows of G
+    d_res, d_at = residuals("dalembert", GD, inst)
+    admissible, g = conds.admissible, len(G)
+    off = (d_res[:g] > RESIDUAL_TOL) | ~admissible[:g] | (back > mu.tolerance(RESIDUAL_TOL, 1))
+    rows = zip(off.tolist(), d_res[:g].tolist(), back.tolist(), d_at[:g].tolist())
     for i, (prov, ok_mass) in enumerate(zip(kan_prov, live.tolist())):
         if not ok_mass:
             fail("nonzero_mass", 0.0, prov, i)
             continue
-        c, res, at, b = next(rows)
-        ok_member = c.consistent and c.admissible()
-        if res > RESIDUAL_TOL or not ok_member or b > mu.tolerance(RESIDUAL_TOL, 1):
+        hit, res, b, at = next(rows)
+        if hit:
             fail("bijection_inverse", max(res, b), prov, i, at)
 
     # integral-condition equivalence and forward round-trips on the
     # d'Alembert solutions
-    conds, d_res, d_at = conds[len(G):], d_res[len(G):], d_at[len(G):]
-    ahead = np.array([r <= RESIDUAL_TOL and c.consistent and c.admissible()
-                      for c, r in zip(conds, d_res)], dtype=bool)
+    ahead = (d_res[g:] <= RESIDUAL_TOL) & admissible[g:]
     Fk = dalembert_to_kannappan(D[ahead], inst)
     f_res, f_at = residuals("kannappan", Fk, inst)
     f_live = np.abs(total_mass_integral(Fk, mu)) > floor  # else not a valid member
     fwd_back = np.abs(kannappan_to_dalembert(Fk[f_live], inst) - D[ahead][f_live]).max(axis=1)
+    f_tol = mu.tolerance(RESIDUAL_TOL, 2)
     images = zip(f_live.tolist(), f_res.tolist(), f_at.tolist())
     backs = iter(fwd_back.tolist())
     dal_entries = []
-    for i, (prov, c, res, at, go) in enumerate(
-        zip(dal_prov, conds, d_res, d_at, ahead.tolist())
-    ):
-        dal_entries.append({"conditions": {"double_mass": c.double_mass,
-                                           "proportionality": c.proportionality,
-                                           "tau_shift": c.tau_shift},
-                            "consistent": c.consistent, "mass": c.mass, "solution_index": i})
+    for i, (prov, holds, devs, ok, m, res, at, go) in enumerate(zip(
+        dal_prov, conds.holds[g:].tolist(), conds.deviations[g:].tolist(),
+        conds.consistent[g:].tolist(), conds.mass[g:].tolist(), d_res[g:].tolist(),
+        d_at[g:].tolist(), ahead.tolist(),
+    )):
+        dal_entries.append({"conditions": dict(zip(CONDITIONS, holds)), "consistent": ok,
+                            "mass": m, "solution_index": i})
         if res > RESIDUAL_TOL:
             fail("dalembert_equation", res, prov, i, at)
-        elif not c.consistent:
-            fail("integral_conditions_equivalence", max(c.deviations), "dalembert", i)
+        elif not ok:
+            fail("integral_conditions_equivalence", max(devs), "dalembert", i)
         elif go:
             ok_mass, fr, fat = next(images)
             b = next(backs) if ok_mass else 0.0
             if not ok_mass:
                 fail("nonzero_mass", 0.0, "dalembert", i)
-            elif fr > mu.tolerance(RESIDUAL_TOL, 2) or b > RESIDUAL_TOL:
+            elif fr > f_tol or b > RESIDUAL_TOL:
                 fail("bijection_forward", max(fr, b), "dalembert", i, fat)
 
     trips = {"backward": float(back.max(initial=0.0)), "forward": float(fwd_back.max(initial=0.0))}

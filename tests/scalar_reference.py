@@ -364,12 +364,14 @@ def verify_instance_loop(
         entries = []
         for i, sol in enumerate(sols):
             suite = suite_fn(sol.values, inst)
+            deviations = dict(zip(suite.names, suite.deviations[0].tolist()))
+            argmax = dict(zip(suite.names, (a[0].tolist() for a in suite.argmax)))
             eq_res = fl.residual(kind, sol.values, inst)
             entries.append(
                 {
                     "equation_residual": eq_res.max_abs,
-                    "identities": dict(suite.residuals),
-                    "mass": suite.mass,
+                    "identities": deviations,
+                    "mass": suite.mass[0].item(),
                     "provenance": sol.provenance,
                     "solution_index": i,
                 }
@@ -378,7 +380,7 @@ def verify_instance_loop(
                 fail(f"{kind}_equation", eq_res.max_abs, sol.provenance, i, eq_res.argmax)
                 continue
             for name in suite.failures():
-                dev, at = suite.residuals.get(name, 0.0), suite.argmax.get(name, ())
+                dev, at = deviations.get(name, 0.0), argmax.get(name, ())
                 fail(name, dev, sol.provenance, i, at)
         return entries
 
@@ -408,15 +410,17 @@ def verify_instance_loop(
     for i, sol in enumerate(solutions("dalembert")):
         g = sol.values
         conds = dalembert_integral_conditions(g, inst)
+        tau_shift, proportionality, double_mass = conds.holds[0].tolist()
+        consistent, mass = conds.consistent[0].item(), conds.mass[0].item()
         dal_entries.append(
             {
                 "conditions": {
-                    "double_mass": conds.double_mass,
-                    "proportionality": conds.proportionality,
-                    "tau_shift": conds.tau_shift,
+                    "double_mass": double_mass,
+                    "proportionality": proportionality,
+                    "tau_shift": tau_shift,
                 },
-                "consistent": conds.consistent,
-                "mass": conds.mass,
+                "consistent": consistent,
+                "mass": mass,
                 "solution_index": i,
             }
         )
@@ -424,10 +428,11 @@ def verify_instance_loop(
         if g_res.max_abs > RESIDUAL_TOL:
             fail("dalembert_equation", g_res.max_abs, sol.provenance, i, g_res.argmax)
             continue
-        if not conds.consistent:
-            fail("integral_conditions_equivalence", max(conds.deviations), "dalembert", i)
+        if not consistent:
+            worst = max(conds.deviations[0].tolist())
+            fail("integral_conditions_equivalence", worst, "dalembert", i)
             continue
-        if abs(conds.mass) > mu.tolerance(ADMISSIBLE_TOL, 1) and conds.all_hold:
+        if abs(mass) > mu.tolerance(ADMISSIBLE_TOL, 1) and conds.all_hold[0]:
             f = dalembert_to_kannappan(g, inst)
             f_res = fl.residual("kannappan", f, inst)
             try:

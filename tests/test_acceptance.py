@@ -161,12 +161,12 @@ def test_criterion_5_identity_suites_on_oracle_solutions(grid, oracle_cache):
         for case in grid:
             for sol in oracle_cache(case, "van_vleck").solutions:
                 suite = fl.van_vleck_identity_suite(sol.values, case.inst)
-                assert suite.worst() < RESIDUAL_TOL, (case.name, suite.residuals)
+                assert suite.deviations.max() < RESIDUAL_TOL, (case.name, suite.deviations)
                 assert abs(suite.mass) > 1e-9, case.name
                 vv_total += 1
             for sol in oracle_cache(case, "kannappan").solutions:
                 suite = fl.kannappan_identity_suite(sol.values, case.inst)
-                assert suite.worst() < RESIDUAL_TOL, (case.name, suite.residuals)
+                assert suite.deviations.max() < RESIDUAL_TOL, (case.name, suite.deviations)
                 assert abs(suite.mass) > 1e-9, case.name
                 kan_total += 1
         assert vv_total > 0 and kan_total > 0

@@ -6,6 +6,8 @@ time, and each member's numbers must not depend on the stack it sits in.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,41 @@ def stacks(inst: fl.Instance, kind: str) -> np.ndarray:
     return np.array([s.values for s in sols]).reshape(len(sols), inst.sg.order)
 
 
+def assert_row_is_alone(table, i, alone):
+    """Every field of row i of the stack table equals the stack-of-one table
+    alone bit for bit."""
+    for field in dataclasses.fields(table):
+        got, want = getattr(table, field.name), getattr(alone, field.name)
+        if field.name == "argmax":
+            assert len(got) == len(want)
+            assert all(np.array_equal(a[i:i + 1], b) for a, b in zip(got, want)), field.name
+        elif isinstance(got, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got[i:i + 1], want), field.name
+        else:
+            assert got == want, field.name
+
+
+@pytest.mark.parametrize("kind", ["van_vleck", "kannappan"])
+def test_empty_stack_gives_empty_tables(kind):
+    empty = np.zeros((0, 4), dtype=complex)
+    suites = identity_suites(kind, empty, Z4_D1)
+    k = len(suites.names)
+    assert k == {"van_vleck": 6, "kannappan": 3}[kind]
+    assert suites.deviations.shape == (0, k) and suites.deviations.dtype == np.float64
+    assert suites.failed.shape == (0, k + 1) and suites.failed.dtype == bool
+    assert suites.mass.shape == (0,) and suites.mass.dtype == np.complex128
+    # one argument x per row, none for a double mass
+    want = [(0, 0 if n.startswith("double_mass") else 1) for n in suites.names]
+    assert [a.shape for a in suites.argmax] == want
+    assert all(a.dtype == np.intp for a in suites.argmax)
+    conds = integral_conditions(empty, Z4_D1)
+    assert conds.holds.shape == (0, 3) and conds.holds.dtype == bool
+    assert conds.deviations.shape == (0, 3) and conds.deviations.dtype == np.float64
+    assert conds.mass.shape == (0,) and conds.mass.dtype == np.complex128
+    for mask in (conds.consistent, conds.all_hold, conds.admissible):
+        assert mask.shape == (0,) and mask.dtype == bool
+
+
 @pytest.mark.parametrize("name", WEIGHTED)
 @pytest.mark.parametrize("kind", fl.KINDS)
 def test_member_numbers_do_not_depend_on_the_stack(name, kind):
@@ -151,13 +188,13 @@ def test_member_numbers_do_not_depend_on_the_stack(name, kind):
         for i, f in enumerate(S.copy()):  # each member alone, as a fresh array
             alone = fl.residual(kind, f, inst)
             assert (alone.max_abs, alone.argmax) == (res[i], tuple(at[i]))
-            assert fl.dalembert_integral_conditions(f, inst) == conds[i]
+            assert_row_is_alone(conds, i, fl.dalembert_integral_conditions(f, inst))
             if suites is not None:
                 suite_fn = {
                     "van_vleck": fl.van_vleck_identity_suite,
                     "kannappan": fl.kannappan_identity_suite,
                 }[kind]
-                assert suite_fn(f, inst) == suites[i]
+                assert_row_is_alone(suites, i, suite_fn(f, inst))
         if kind == "kannappan":
             live = S[np.abs(fl.total_mass_integral(S, inst.mu)) > inst.mu.tolerance(1e-9, 2)]
             G = fl.kannappan_to_dalembert(live, inst)
@@ -165,3 +202,24 @@ def test_member_numbers_do_not_depend_on_the_stack(name, kind):
             for f, g, b in zip(live, G, back):
                 assert np.array_equal(fl.kannappan_to_dalembert(f, inst), g)
                 assert np.array_equal(fl.dalembert_to_kannappan(g, inst), b)
+
+
+def test_tolerance_calls_do_not_depend_on_the_member_count(monkeypatch):
+    # each check takes its tolerances once per stack, not once per member
+    calls = []
+    tolerance = fl.CentralMeasure.tolerance
+
+    def counted(mu, tol, degree):
+        calls.append(degree)
+        return tolerance(mu, tol, degree)
+
+    monkeypatch.setattr(fl.CentralMeasure, "tolerance", counted)
+    counts, members = [], []
+    for name in ("Z4/inv/d1", "S3/inv/d0"):
+        calls.clear()
+        report = fl.verify_instance(CASES[name])
+        counts.append(len(calls))
+        members.append(len(report.van_vleck_suites) + len(report.kannappan_suites)
+                       + len(report.dalembert_conditions))
+    assert members[0] != members[1]
+    assert counts[0] == counts[1]
