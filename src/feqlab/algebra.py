@@ -15,26 +15,28 @@ O'Shea, Using Algebraic Geometry, ch. 2).
 Rows (x, y) and (y, x) share their quadratic term, so L[:, x, y] - L[:, y, x]
 is a linear form that vanishes on every root.  The roots therefore span a
 subspace of N, the largest subspace that these forms annihilate and that
-every M_y maps into itself; there are at most dim N <= n + 1 of them.  One
-eig of a random combination C = sum_y c_y M_y on N separates the roots by
-the value c . f.  Eigenvalues closer than CLUSTER_TOL form one cluster; a
-simple eigenvalue gives its root as v / v_0, and a cluster holding one root
-of multiplicity m spans an m-dimensional invariant subspace W on which every
-M_y has the single eigenvalue f(y), so its root is f(y) = trace(W^H M_y W) / m.
+every M_y maps into itself; there are at most dim N <= n + 1 of them.  M_y
+sends e_0 to 0 and (0, w) to (w_y, A_y w), A_y = M_y[1:, 1:], so N is
+e_0 + (0, W) for the largest such W in C^n under the A_y: the zero root's
+direction e_0 is an exact basis column, whatever basis of W the SVD gives.
+One eig of a random combination C = sum_y c_y M_y on N separates the roots
+by c . f.  Eigenvalues closer than CLUSTER_TOL form one cluster; a simple
+one gives its root as v / v_0, and a cluster holding one root of
+multiplicity m spans an m-dimensional invariant subspace Z on which every
+M_y has the single eigenvalue f(y), so its root is trace(Z^H M_y Z) / m.
 
 Certificate: every cluster's root passes the residual check.  Two roots
 merged into one cluster average to a point whose residual is
 2 t (1 - t) max|f1 - f2|^2, which fails the check unless the two lie closer
 than about sqrt(tol); so a certified draw has one root per cluster and,
 every root lying in N, misses none.  A failed certificate is answered by a
-fresh c.  When no two eigenvalues are near, every root is v / v_0, read
-with one division.
+fresh c.  When no two eigenvalues are near, one division reads every root.
 
 L is cast to complex128 once: a mixed complex-by-float product is slow
 under OpenBLAS threads.  Where the symmetry forms vanish (a commutative
 table), N is all of C^(n+1) and no SVD or closure step runs.  The closure
-stops once the part of M_y Q outside Q has Frobenius norm at most NULL_TOL:
-the norm bounds the largest singular value, so _null_space would keep Q.
+stops once the part of A_y W outside W has Frobenius norm at most NULL_TOL:
+the norm bounds the largest singular value, so _null_space would keep W.
 """
 from __future__ import annotations
 
@@ -54,34 +56,36 @@ def _null_space(G: np.ndarray) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _lower_images(L: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """A_y W for every y, stacked as shape (n, n, k)."""
+    n, k = len(L), W.shape[1]
+    return (L.reshape(n, n * n).T @ (W / 2.0)).reshape(n, n, k).transpose(1, 0, 2)
+
+
 def _images(L: np.ndarray, W: np.ndarray) -> np.ndarray:
     """M_y W for every y, stacked as shape (n, n+1, k)."""
-    n, k = len(L), W.shape[1]
-    out = np.empty((n, n + 1, k), dtype=np.complex128)
-    out[:, 0] = W[1:]
-    out[:, 1:] = (L.reshape(n, n * n).T @ (W[1:] / 2.0)).reshape(n, n, k).transpose(1, 0, 2)
-    return out
+    return np.concatenate((W[1:, None], _lower_images(L, W[1:])), axis=1)
 
 
 def _closed_subspace(L: np.ndarray) -> np.ndarray:
-    """Orthonormal basis Q of N, shape (n+1, dim N).  With no symmetry forms
-    Q is the identity as _null_space returns it for zero forms, -0j and all."""
+    """Orthonormal basis Q = [[1, 0], [0, W]] of N, shape (n+1, dim N), with
+    e_0 exact.  With no symmetry forms Q is the identity as _null_space
+    returns it for zero forms, -0j and all."""
     n = len(L)
     if np.array_equal(L, L.transpose(0, 2, 1)):
         return np.eye(n + 1, dtype=L.dtype).conj()
-    forms = np.zeros((n + 1, n, n), dtype=L.dtype)  # forms[:, x, y] is form (x, y)
-    np.subtract(L, L.transpose(0, 2, 1), out=forms[1:])
-    Q = _null_space(forms.reshape(n + 1, n * n).T)
-    del forms  # an n^3 array the closure no longer needs
-    while 0 < Q.shape[1] < n + 1:
-        outside = _images(L, Q)
-        outside -= Q @ (Q.conj().T @ outside)
-        if np.linalg.norm(outside) <= NULL_TOL:  # Q is closed (module docstring)
+    W = _null_space((L - L.transpose(0, 2, 1)).reshape(n, n * n).T)  # the symmetry forms
+    while 0 < W.shape[1] < n:
+        outside = _lower_images(L, W)
+        outside -= W @ (W.conj().T @ outside)
+        if np.linalg.norm(outside) <= NULL_TOL:  # W is closed (module docstring)
             break
-        keep = _null_space(outside.reshape(-1, Q.shape[1]))
-        if keep.shape[1] == Q.shape[1]:
+        keep = _null_space(outside.reshape(-1, W.shape[1]))
+        if keep.shape[1] == W.shape[1]:
             break
-        Q = Q @ keep
+        W = W @ keep
+    Q = np.eye(n + 1, W.shape[1] + 1, dtype=W.dtype)  # row 0 and column 0 are e_0
+    Q[1:, 1:] = W
     return Q
 
 
@@ -104,8 +108,8 @@ def _cluster_roots(L, Q, C, lam, U, near) -> np.ndarray:
         m = int(counts[i])
         shifted = C - lam[label == first[i]].sum() / m * np.eye(C.shape[0])  # the mean
         _, _, vh = np.linalg.svd(np.linalg.matrix_power(shifted, m))
-        W = Q @ vh[-m:].conj().T  # orthonormal basis of the cluster
-        F[i] = np.einsum("jm,yjm->y", W.conj(), _images(L, W)) / m
+        Z = Q @ vh[-m:].conj().T  # orthonormal basis of the cluster
+        F[i] = np.einsum("jm,yjm->y", Z.conj(), _images(L, Z)) / m
     return F
 
 

@@ -6,14 +6,14 @@ chi(x) chi(y) = chi(xy) form a closed quadratic system, so its complete
 root set comes from one joint-eigenvector computation (algebra.py), whose
 certificate says whether every root was found.  If x has orbit index i and
 period p then chi(x)^i (chi(x)^p - 1) = 0, so chi(x) is 0 or a p-th root of
-unity: each numeric root is snapped to these exact candidates and kept only
-if the exact scan passes, so the values are exact and independent of how
-the elements are labelled.
+unity: a numeric value r snaps to 0 where |r| < 1/2, else to exp(2 pi i k / p)
+with k = rint(p arg(r) / 2 pi), and a root is kept only if the exact scan
+passes, so the values are exact and independent of the element labels.
 
 A set of m functions is an (m, n) stack, and the steps after the solvers
 take it whole: canonical_order sorts it with one lexsort, dedup_canonical
-compares all pairs through one distance matrix, and the enumeration scans
-every root with one gather.
+compares all pairs through one distance matrix, built in row blocks, and
+the enumeration scans every root with one gather.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ MULT_TOL = 1e-12     # absolute slack for the exact multiplicativity scan
 CANON_DECIMALS = 8   # rounding used by the canonical order and dedup
 ROOT_TOL = 1e-9      # residual check of the numeric roots before snapping
 DRAWS = 8            # combinations drawn at most while the certificate fails
+DISTANCE_BLOCK = 2**20  # complex differences max_abs_distances holds at once
 
 
 def _rounded_parts(F, scale: float) -> np.ndarray:
@@ -47,11 +48,13 @@ def canonical_order(F, scale: float = 1.0) -> np.ndarray:
 
 def max_abs_distances(A, B) -> np.ndarray:
     """(len(A), len(B)) matrix of max-abs distances between the rows of two
-    stacks of functions."""
-    if len(A) == 0 or len(B) == 0:
-        return np.zeros((len(A), len(B)))
+    stacks of functions, reduced over row blocks of DISTANCE_BLOCK differences."""
     A, B = np.asarray(A), np.asarray(B)
-    return np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
+    D = np.zeros((len(A), len(B)))
+    rows = max(1, DISTANCE_BLOCK // max(1, B.size))
+    for i in range(0, len(A) if len(B) else 0, rows):
+        D[i:i + rows] = np.abs(A[i:i + rows, None, :] - B[None, :, :]).max(axis=2)
+    return D
 
 
 def dedup_canonical(F, eps: float, scale: float = 1.0) -> np.ndarray:
@@ -73,11 +76,6 @@ def dedup_canonical(F, eps: float, scale: float = 1.0) -> np.ndarray:
     return order[kept]
 
 
-def _candidates(p: int) -> np.ndarray:
-    """{0} plus the p-th roots of unity."""
-    return np.concatenate(([0j], np.exp(2j * np.pi * np.arange(p) / p)))
-
-
 def enumerate_multiplicative(sg: FiniteSemigroup) -> np.ndarray:
     """All nonzero multiplicative functions as one read-only (m, n) stack,
     canonically ordered.
@@ -85,21 +83,18 @@ def enumerate_multiplicative(sg: FiniteSemigroup) -> np.ndarray:
     Completeness rests on the certificate of closed_system_roots; when no
     draw certifies (a root of very high multiplicity, as at the zero
     function of a deep nilpotent semigroup), the roots of every draw are
-    pooled.  The roots are snapped one orbit period at a time and scanned as
-    one stack: one gather checks every pair of every root.  dedup_canonical
-    at MULT_TOL drops the zero function and keeps one of each run of exact
-    copies: distinct functions differ by at least 2 sin(pi / p) in some
-    value, so the order, rounded at 1e-8, never ties them.
+    pooled.  The roots passed the ROOT_TOL residual, so each value lies near
+    its closed-form snap, and one gather checks every pair of every snapped
+    root.  dedup_canonical at MULT_TOL drops the zero function and keeps one
+    of each run of exact copies: distinct functions differ by at least
+    2 sin(pi / p) in some value, so the order, rounded at 1e-8, never ties
+    them.
     """
     L = (sg.cayley == np.arange(sg.order)[:, None, None]) * 2  # 2 chi(x) chi(y) = 2 chi(xy)
     roots, _, _ = closed_system_roots(L, ROOT_TOL, draws=DRAWS)
     _, period = orbit_table(sg)
-    S = np.empty_like(roots)
-    for p in sorted(set(period.tolist())):
-        cols = np.flatnonzero(period == p)
-        cands = _candidates(p)
-        nearest = np.abs(roots[:, cols, None] - cands).argmin(axis=2)
-        S[:, cols] = cands[nearest]
+    k = np.rint(np.angle(roots) * period / (2 * np.pi)) % period
+    S = np.where(np.abs(roots) < 0.5, 0j, np.exp(2j * np.pi * k / period))
     deviation = np.abs(S[:, sg.cayley] - S[:, :, None] * S[:, None, :]).max(axis=(1, 2))
     S = S[deviation <= MULT_TOL]
     S = S[dedup_canonical(S, MULT_TOL)]

@@ -14,10 +14,10 @@ The system is solved as L / s with s = ||mu|| for the two integral
 equations (s = 1 for d'Alembert, which ignores mu): its roots f / s have
 modulus at most 1, and scaling mu by lam changes them only by the phase
 lam / |lam|, so the residual check at CONVERGE_TOL is relative to the size of
-the measure.  The roots are then deduplicated as the construction's are, at
-MATCH_EPS relative to the size of the solutions, which is also the distance
-at which the CLI matches the two sets.  The result is a function of the seed
-alone: no threads, bit-identical across reruns.
+the measure.  The roots are then deduplicated exactly as the construction's
+are, at families.DEDUP_EPS relative to the size of the solutions; MATCH_EPS
+is only the distance at which the CLI matches the two sets.  The result is a
+function of the seed alone: no threads, bit-identical across reruns.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 from .algebra import closed_system_roots
 from .characters import dedup_canonical, max_abs_distances
 from .equations import SOLUTION_DEGREE, Instance, linear_part
-from .families import SolutionReport
+from .families import DEDUP_EPS, SolutionReport
 
 
 CONVERGE_TOL = 1e-12  # residual check on the system scaled to ||mu|| = 1
@@ -56,11 +56,11 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
     """All nonzero solutions of the chosen equation, certified unless a
     NoConvergenceBudget warning says otherwise.
 
-    The measure is ignored for kind "dalembert".  As in the construction,
-    the zero solution and near-duplicates are dropped (dedup_canonical at
-    MATCH_EPS, scaled like the solutions) and the rest is canonically
-    sorted; the report holds the solver's read-only stack of them and the
-    residual the solver computed for each.
+    The measure is ignored for kind "dalembert".  The zero solution and
+    near-duplicates are dropped exactly as in the construction
+    (dedup_canonical at DEDUP_EPS, scaled like the solutions) and the rest
+    is canonically sorted; the report holds the solver's read-only stack of
+    them and the residual the solver computed for each.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -78,7 +78,7 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
         )
     roots *= s
     res = inst.mu.tolerance(res, 2 * degree)  # the residual L f - 2 f f has twice f's degree
-    keep = dedup_canonical(roots, inst.mu.tolerance(MATCH_EPS, degree), s)
+    keep = dedup_canonical(roots, inst.mu.tolerance(DEDUP_EPS, degree), s)
     finals = roots[keep]
     finals.setflags(write=False)
     return SolutionReport(kind, finals, res[keep], "oracle")

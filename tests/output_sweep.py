@@ -14,8 +14,10 @@ checkout.
 The second form counts the outputs that are byte-identical in A and B.  The
 others must have equal exit codes and equal JSON structure: the same keys,
 list lengths, ints, bools, strings and nulls.  Their floats may differ; the
-largest differences are printed.  It exits 1 when a file is missing or a
-structure differs.  Pytest does not collect this file.
+largest difference is printed per request and JSON field, list indices
+folded (oracle-kannappan .oracle.solutions[].values[].re), with the output
+it was seen in.  It exits 1 when a file is missing or a structure differs.
+Pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -116,9 +118,14 @@ def compare(a: Path, b: Path) -> int:
         if found:
             broken.append(found)
     print(f"{same} of {len(names)} outputs byte-identical, {len(names) - same} differ")
-    for d, where in sorted(floats, reverse=True)[:10]:
-        if d:
-            print(f"  float difference {d:.3e} at {where}")
+    worst: dict[str, tuple[float, str]] = {}
+    for d, where in floats:
+        name, path = where.split(":", 1)
+        field = name.split(".")[-2] + " " + re.sub(r"\[\d+\]", "[]", path)
+        if d > worst.get(field, (0.0, ""))[0]:
+            worst[field] = (d, name)
+    for field, (d, name) in sorted(worst.items()):
+        print(f"  largest float difference {d:.3e} in {field} ({name})")
     for where in broken:
         print(f"STRUCTURE {where}")
     return 1 if broken else 0

@@ -33,8 +33,8 @@ from itertools import permutations
 import numpy as np
 
 import feqlab as fl
-from feqlab.algebra import _images, _null_space, closed_system_roots
-from feqlab.characters import CANON_DECIMALS, DRAWS, MULT_TOL, ROOT_TOL, _candidates, dedup_canonical
+from feqlab.algebra import _lower_images, _null_space, closed_system_roots
+from feqlab.characters import CANON_DECIMALS, DRAWS, MULT_TOL, ROOT_TOL, dedup_canonical
 from feqlab.equations import SOLUTION_DEGREE, _worst_rows, residuals
 from feqlab.families import (
     ADMISSIBLE_TOL,
@@ -72,7 +72,8 @@ def canonical_key(f, scale: float = 1.0) -> tuple[tuple[float, float], ...]:
 def candidate_values(sg: fl.FiniteSemigroup, x: int) -> np.ndarray:
     """{0} plus the p-th roots of unity, p the orbit period of x."""
     _, period = fl.orbit_table(sg)
-    return _candidates(int(period[x]))
+    p = int(period[x])
+    return np.concatenate(([0j], np.exp(2j * np.pi * np.arange(p) / p)))
 
 
 def is_multiplicative(sg: fl.FiniteSemigroup, chi) -> bool:
@@ -318,21 +319,23 @@ def multiplication_matrices(L: np.ndarray) -> np.ndarray:
 
 
 def closed_subspace_svd(L: np.ndarray) -> np.ndarray:
-    """The closed subspace N of closed_system_roots from the null space of
-    the symmetry forms, found by SVD also when they vanish, and the closure
-    loop run until it changes nothing.  The loop takes its products M_y Q
-    from the solver's own _images, whose bits the stored M_y do not give."""
+    """The closed subspace N = e_0 + (0, W) of closed_system_roots, with W
+    the null space of the symmetry forms found by SVD also when they
+    vanish, and the closure loop run until it changes nothing.  The loop
+    takes its products A_y W from the solver's own _lower_images, whose bits
+    the stored M_y do not give."""
     n = len(L)
-    forms = np.zeros((n * n, n + 1), dtype=np.complex128)
-    forms[:, 1:] = (L - L.transpose(0, 2, 1)).reshape(n, n * n).T
-    Q = _null_space(forms)
-    while Q.shape[1]:
-        outside = _images(L, Q)
-        outside -= Q @ (Q.conj().T @ outside)
-        keep = _null_space(outside.reshape(-1, Q.shape[1]))
-        if keep.shape[1] == Q.shape[1]:
+    W = _null_space((L - L.transpose(0, 2, 1)).reshape(n, n * n).T)
+    while W.shape[1]:
+        outside = _lower_images(L, W)
+        outside -= W @ (W.conj().T @ outside)
+        keep = _null_space(outside.reshape(-1, W.shape[1]))
+        if keep.shape[1] == W.shape[1]:
             break
-        Q = Q @ keep
+        W = W @ keep
+    Q = np.zeros((n + 1, W.shape[1] + 1), dtype=np.complex128)
+    Q[0, 0] = 1.0
+    Q[1:, 1:] = W
     return Q
 
 

@@ -9,8 +9,10 @@ from feqlab import algebra
 from feqlab.algebra import closed_system_roots
 from feqlab.characters import DRAWS, ROOT_TOL
 from feqlab.equations import SOLUTION_DEGREE
+from feqlab.families import family_stack
+from feqlab.oracle import match_solution_sets
 
-from conftest import nilpotent_monoid
+from conftest import ladder_instances, nilpotent_monoid
 from scalar_reference import closed_subspace_svd, multiplication_matrices
 
 
@@ -87,6 +89,32 @@ class TestClosure:
             shrinks.clear()
             closed_system_roots(L, tol, draws=draws)
             assert len(shrinks) == 1 + sum(shrinks[1:])
+
+
+class TestBasisIndependence:
+    def test_distinct_form_rows_certify_and_match(self, grid, monkeypatch):
+        # the distinct rows of the symmetry forms span the same forms, so
+        # _null_space returns another orthonormal basis of the same W; with
+        # e_0 an exact column of Q, every system still certifies on its
+        # first draw and the oracle's set matches the construction's
+        real, calls = algebra._null_space, []
+
+        def distinct_rows(G):
+            calls.append(None)  # the first call of a solve takes the forms
+            return real(np.unique(G, axis=0) if len(calls) == 1 else G)
+
+        monkeypatch.setattr(algebra, "_null_space", distinct_rows)
+        instances = {case.name: case.inst for case in grid}
+        instances.update(ladder_instances())
+        for name, inst in instances.items():
+            for kind in fl.KINDS:
+                calls.clear()
+                _, _, certified = closed_system_roots(equation_table(kind, inst), fl.oracle.CONVERGE_TOL)
+                assert certified, (name, kind)
+                calls.clear()
+                found = fl.oracle_solve(kind, inst).values
+                eps = inst.mu.tolerance(fl.oracle.MATCH_EPS, SOLUTION_DEGREE[kind])
+                assert match_solution_sets(family_stack(kind, inst), found, eps).is_match, (name, kind)
 
 
 def same_bits(a, b) -> bool:

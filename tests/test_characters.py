@@ -2,15 +2,24 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 import feqlab as fl
+import scalar_reference
+from feqlab import characters
 
 from conftest import corpus_semigroups, involutions_for, nilpotent_monoid
-from scalar_reference import canonical_key, candidate_values, is_multiplicative, max_abs_diff
+from scalar_reference import (
+    canonical_key,
+    candidate_values,
+    enumerate_multiplicative_loop,
+    is_multiplicative,
+    max_abs_diff,
+)
 
 
 def brute_multiplicative(sg, tol=1e-12):
@@ -159,6 +168,55 @@ class TestEnumerate:
             for i in range(len(chars)):
                 for j in range(i + 1, len(chars)):
                     assert max_abs_diff(chars[i], chars[j]) > 1e-8
+
+
+class TestSnap:
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_closed_form_snap_is_the_candidate_argmin(self, p, monkeypatch):
+        # on Z_p x {1, 0} every value is 0 or a root of unity whose order
+        # divides p; roots moved by up to 0.1 off the exact characters and
+        # off the zero function snap with the bits of the argmin over the
+        # candidates {0} and the q-th roots of unity, q the orbit period
+        sg = fl.direct_product(fl.cyclic_group(p), nilpotent_monoid(1))
+        exact = fl.enumerate_multiplicative(sg)
+        assert len(exact) == 2 * p
+        rng = np.random.default_rng(p)
+        noisy = np.repeat(np.vstack([exact, np.zeros(sg.order)]), 3, axis=0)
+        noisy += 0.1 * rng.uniform(size=noisy.shape) * np.exp(2j * np.pi * rng.uniform(size=noisy.shape))
+
+        def solver(L, tol, seed=0, draws=1):
+            return noisy.copy(), np.zeros(len(noisy)), True
+
+        monkeypatch.setattr(characters, "closed_system_roots", solver)
+        monkeypatch.setattr(scalar_reference, "closed_system_roots", solver)
+        got = fl.enumerate_multiplicative(sg)
+        want = np.array(enumerate_multiplicative_loop(sg))
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert np.array_equal(got.view(np.float64), exact.view(np.float64))
+
+
+class TestDistances:
+    def test_blocks_equal_one_expression(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
+        B = rng.standard_normal((25, 30)) + 1j * rng.standard_normal((25, 30))
+        one_block = np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
+        monkeypatch.setattr(characters, "DISTANCE_BLOCK", 1500)  # 2 rows of A a block
+        assert np.array_equal(characters.max_abs_distances(A, B), one_block)
+        assert characters.max_abs_distances(A[:0], B).shape == (0, 25)
+        assert characters.max_abs_distances(A, B[:0]).shape == (40, 0)
+
+    def test_peak_memory_is_one_block(self):
+        # the (m, m, n) differences of a (257, 256) stack would take 258 MiB
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((257, 256)) + 1j * rng.standard_normal((257, 256))
+        tracemalloc.start()
+        try:
+            characters.max_abs_distances(A, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * characters.DISTANCE_BLOCK
 
 
 class TestComposeTau:

@@ -199,6 +199,18 @@ class TestSolveCommand:
             v == {"im": 0.0, "re": 0.0} for v in report["solutions"][-1]["values"]
         )
 
+    def test_near_cancelling_measure_keeps_the_small_member(self, tmp_path, capsys):
+        # on Z2 with mu = delta_0 - 0.9999999 delta_1, int 1 dmu = 1e-7, so
+        # (1e-7, 1e-7) is a member: below the matching distance, above the
+        # dedup distance, and both routes keep it
+        measure = [{"point": 0, "re": 1.0, "im": 0.0}, {"point": 1, "re": -0.9999999, "im": 0.0}]
+        path = write_spec(tmp_path, order=2, cayley=[0, 1, 1, 0], involution=[0, 1], measure=measure)
+        code, out = run(capsys, "solve", "kannappan", path, "--oracle")
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["solutions"]) == len(report["oracle"]["solutions"]) == 2
+        assert report["match"]["verdict"] == "match"
+
     def test_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         # forge an oracle that reports a bogus extra solution
         def fake_oracle(kind, inst, cfg=None):
