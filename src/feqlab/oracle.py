@@ -4,11 +4,11 @@ Each equation is a closed quadratic system in the n complex values of f: a
 linear part (the measure-weighted shifts) plus the uniform quadratic term
 -2 f(x) f(y), one complex equation per pair (x, y).  The solver reads the
 linear part as one table L, equations.linear_part on the n unit vectors,
-which is the operator the residuals use.  The roots are the joint
-eigenvectors of n + 1 small matrices, read off from one eig of a seeded
-random combination; a certificate says whether that eig found every root
-(see algebra.closed_system_roots), and only a failed certificate draws a
-fresh combination.
+which is the operator the residuals use.  The nonzero roots are the joint
+eigenvectors of n small matrices, read off from one eig of a seeded random
+combination, and the zero root is known exactly; a certificate says whether
+that eig found every root (see algebra.closed_system_roots), and only a
+failed certificate draws a fresh combination.
 
 The system is solved as L / s with s = ||mu|| for the two integral
 equations (s = 1 for d'Alembert, which ignores mu): its roots f / s have

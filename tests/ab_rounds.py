@@ -12,7 +12,9 @@ A B B A A B ..., and every response is checked by perfbench/checks.py.
 
 It prints the p50, p90 (nearest rank, as perfbench/run.py) and mean latency
 of each side, the relative change of B against A, the number of request
-shapes whose stdout is byte-identical on both sides, and any failed check.
+shapes whose stdout is byte-identical on both sides, each request shape's
+median latency on both sides with its relative change, slowest shape of A
+first, and any failed check.
 It exits 1 when a check fails.  This is for sizing a change only: a claimed
 gain comes from perfbench/run.py, run as a separate process per checkout.
 Pytest does not collect this file.
@@ -77,6 +79,7 @@ def main(argv=None) -> int:
         sys.path.insert(0, str(tmp))
         sides = {"A": load_copy(args.a, "feqlab_a", tmp), "B": load_copy(args.b, "feqlab_b", tmp)}
         latency = {side: [] for side in sides}
+        per_shape = {side: [[] for _ in workload.round] for side in sides}
         stdout = {side: {} for side in sides}
         failed = []
         # one warm-up round per side, then A B B A A B ...
@@ -86,6 +89,7 @@ def main(argv=None) -> int:
                 t, code, out = issue(sides[side], req, paths[req.spec])
                 if k >= 2:  # the first round of each side is a warm-up
                     latency[side].append(t)
+                    per_shape[side][i].append(t)
                 if stdout[side].setdefault(i, out) != out:
                     failed.append(f"{side} {req.label(workload.specs)}: stdout differs from before")
                 problems = checks.check(req, workload.specs[req.spec], code, out).problems
@@ -101,6 +105,12 @@ def main(argv=None) -> int:
                        for name, a, b in zip(("p50", "p90", "mean"), stats["A"], stats["B"]))
     print(f"B against A: {change}")
     print(f"{same} of {len(workload.round)} shapes byte-identical on stdout")
+    medians = {side: [statistics.median(lat) for lat in shapes] for side, shapes in per_shape.items()}
+    print("per shape, median ms: A  B  B against A")
+    for i in sorted(range(len(workload.round)), key=lambda i: -medians["A"][i]):
+        a, b = medians["A"][i], medians["B"][i]
+        print(f"  {a * 1e3:8.3f} {b * 1e3:8.3f} {(b / a - 1) * 100:+6.1f}%  "
+              f"{workload.round[i].label(workload.specs)}")
     for line in failed[:20]:
         print(f"FAILED {line}")
     return 1 if failed else 0

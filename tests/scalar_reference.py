@@ -17,8 +17,8 @@ powers of one element; verify_instance_loop
 checks one solution at a time through the single-function calls (residual,
 the identity suites, the bijection maps), and closed_subspace_svd finds the
 closed subspace of the solver by SVD even where the symmetry forms vanish.
-multiplication_matrices stores the matrices M_y that the solver reads off
-its table.
+multiplication_matrices stores the matrices M_y of the eigenvalue method on
+v = (1, f), whose lower blocks A_y the solver reads off its table.
 
 The last section holds checks of the paper's claims that no part of the
 package runs: the mu-spherical equation, the Kannappan swap condition,
@@ -309,8 +309,10 @@ def orbit_walk(sg: fl.FiniteSemigroup, x: int) -> tuple[int, int]:
 
 
 def multiplication_matrices(L: np.ndarray) -> np.ndarray:
-    """The matrices M_y of closed_system_roots, stacked as shape
-    (n, n+1, n+1): row 0 of M_y is e_{1+y}, row 1+x is (0, L[:, x, y] / 2)."""
+    """The matrices M_y of the eigenvalue method on v = (1, f), stacked as
+    shape (n, n+1, n+1): row 0 of M_y is e_{1+y}, row 1+x is
+    (0, L[:, x, y] / 2).  closed_system_roots acts with the lower blocks
+    A_y = M_y[1:, 1:] alone."""
     n = len(L)
     M = np.zeros((n, n + 1, n + 1), dtype=np.complex128)
     M[:, 1:, 1:] = L.transpose(2, 1, 0) / 2.0
@@ -319,11 +321,10 @@ def multiplication_matrices(L: np.ndarray) -> np.ndarray:
 
 
 def closed_subspace_svd(L: np.ndarray) -> np.ndarray:
-    """The closed subspace N = e_0 + (0, W) of closed_system_roots, with W
-    the null space of the symmetry forms found by SVD also when they
-    vanish, and the closure loop run until it changes nothing.  The loop
-    takes its products A_y W from the solver's own _lower_images, whose bits
-    the stored M_y do not give."""
+    """The closed subspace W of closed_system_roots, the null space of the
+    symmetry forms found by SVD also when they vanish, with the closure loop
+    run until it changes nothing.  The loop takes its products A_y W from
+    the solver's own _lower_images, whose bits the stored M_y do not give."""
     n = len(L)
     W = _null_space((L - L.transpose(0, 2, 1)).reshape(n, n * n).T)
     while W.shape[1]:
@@ -333,10 +334,7 @@ def closed_subspace_svd(L: np.ndarray) -> np.ndarray:
         if keep.shape[1] == W.shape[1]:
             break
         W = W @ keep
-    Q = np.zeros((n + 1, W.shape[1] + 1), dtype=np.complex128)
-    Q[0, 0] = 1.0
-    Q[1:, 1:] = W
-    return Q
+    return W
 
 
 def verify_instance_loop(
@@ -389,14 +387,17 @@ def verify_instance_loop(
 
     vv_entries = suite_entries("van_vleck", van_vleck_identity_suite, solutions("van_vleck"))
     kan = solutions("kannappan")
+    start = len(failures)
     kan_entries = suite_entries("kannappan", kannappan_identity_suite, kan)
+    told = {(f["provenance"], f["solution_index"]) for f in failures[start:] if f["identity"] == "nonzero_mass"}
 
     roundtrip_back = 0.0
     for i, sol in enumerate(kan):
         try:
             g = kannappan_to_dalembert(sol.values, inst)
         except fl.ZeroDenominator:
-            fail("nonzero_mass", 0.0, sol.provenance, i)
+            if (sol.provenance, i) not in told:  # else its suite reported it
+                fail("nonzero_mass", 0.0, sol.provenance, i)
             continue
         g_res = fl.residual("dalembert", g, inst)
         try:

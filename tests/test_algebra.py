@@ -55,6 +55,30 @@ class TestCertificate:
         assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
 
 
+class TestZeroRoot:
+    def test_row_zero_is_the_exact_zero_root(self, grid, corpus):
+        # the zero root stays out of the eigenproblem: it is row 0, exactly
+        # zero with residual exactly 0.0
+        systems = list(grid_systems(grid))
+        systems += [(equation_table(kind, inst), fl.oracle.CONVERGE_TOL, fl.OracleConfig().restarts)
+                    for inst in ladder_instances().values() for kind in fl.KINDS]
+        systems += [(multiplicativity_table(sg), ROOT_TOL, DRAWS) for sg in corpus.values()]
+        for L, tol, draws in systems:
+            roots, res, certified = closed_system_roots(L, tol, draws=draws)
+            assert certified
+            assert np.all(roots[0] == 0.0) and res[0] == 0.0
+
+    def test_full_rank_forms_give_the_zero_root_alone(self):
+        # three generic forms in three unknowns leave W = 0: no eigenproblem,
+        # and the zero root is the one root, certified
+        rng = np.random.default_rng(7)
+        L = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        assert algebra._closed_subspace(L).shape == (3, 0)
+        roots, res, certified = closed_system_roots(L, 1e-12)
+        assert certified
+        assert roots.shape == (1, 3) and np.all(roots == 0.0) and np.array_equal(res, [0.0])
+
+
 class TestMultipleRoot:
     @pytest.mark.parametrize("k", [2, 3])
     def test_multiple_root_gives_one_root(self, k):
@@ -73,8 +97,8 @@ class TestMultipleRoot:
 class TestClosure:
     def test_no_null_space_call_that_keeps_all(self, grid, monkeypatch):
         # after the one of the symmetry forms, every _null_space call shrinks
-        # Q: the closure stops on the norm test, not on an SVD that finds
-        # nothing outside Q
+        # W: the closure stops on the norm test, not on an SVD that finds
+        # nothing outside W
         real, shrinks = algebra._null_space, []
 
         def counting(G):
@@ -95,8 +119,9 @@ class TestBasisIndependence:
     def test_distinct_form_rows_certify_and_match(self, grid, monkeypatch):
         # the distinct rows of the symmetry forms span the same forms, so
         # _null_space returns another orthonormal basis of the same W; with
-        # e_0 an exact column of Q, every system still certifies on its
-        # first draw and the oracle's set matches the construction's
+        # the zero root an exact row outside the eigenproblem, every system
+        # still certifies on its first draw and the oracle's set matches the
+        # construction's
         real, calls = algebra._null_space, []
 
         def distinct_rows(G):
@@ -154,12 +179,12 @@ class TestSameBits:
             assert same_bits(fast, closed_system_roots(L, tol, draws=draws))
 
     def test_images_are_the_stored_products(self, grid):
-        # _images reads M_y W off the table; the stored M_y give the same
-        # products up to the order of the sums
+        # _lower_images reads A_y W off the table; the lower blocks of the
+        # stored M_y give the same products up to the order of the sums
         rng = np.random.default_rng(13)
         for L, _, _ in grid_systems(grid):
             n = len(L)
-            W = rng.standard_normal((n + 1, 3)) + 1j * rng.standard_normal((n + 1, 3))
-            want = multiplication_matrices(L) @ W
+            W = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            want = multiplication_matrices(L)[:, 1:, 1:] @ W
             scale = np.abs(L).max() * np.abs(W).max() * n
-            assert np.abs(algebra._images(L, W) - want).max() <= 1e-15 * scale
+            assert np.abs(algebra._lower_images(L, W) - want).max() <= 1e-15 * scale

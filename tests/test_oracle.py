@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import feqlab as fl
-from conftest import nilpotent_monoid
+from conftest import ladder_instances, nilpotent_monoid
+from feqlab.equations import SOLUTION_DEGREE
+from feqlab.families import family_stack
 from scalar_reference import equation_matrix_add_at, max_abs_diff
 
 Z4 = fl.cyclic_group(4)
@@ -244,6 +246,37 @@ class TestGridCompleteness:
                 found = oracle_cache(case, kind)
                 result = fl.match_solution_sets(constructed.values, found.values, eps=1e-6)
                 assert result.is_match, (case.name, kind, result)
+
+
+class TestAccuracy:
+    def test_matched_pairs_agree_to_rounding(self, grid, oracle_cache):
+        # each oracle member is read off its eigenvector by a trace, so it
+        # lies within rounding of the constructed member it matches
+        cases = [(case.name, case.inst, lambda kind, case=case: oracle_cache(case, kind)) for case in grid]
+        cases += [(name, inst, lambda kind, inst=inst: fl.oracle_solve(kind, inst))
+                  for name, inst in ladder_instances().items()]
+        for name, inst, solve in cases:
+            for kind in fl.KINDS:
+                built, found = family_stack(kind, inst), solve(kind).values
+                eps = inst.mu.tolerance(fl.oracle.MATCH_EPS, SOLUTION_DEGREE[kind])
+                result = fl.match_solution_sets(built, found, eps)
+                assert result.is_match, (name, kind)
+                for i, j in result.pairs:
+                    gap = np.abs(built[i] - found[j]).max()
+                    assert gap <= inst.mu.tolerance(1e-14, SOLUTION_DEGREE[kind]), (name, kind, gap)
+
+    def test_small_member_is_not_merged_with_zero(self):
+        # on Z2 with mu = delta_0 - 0.9999999 delta_1 the Kannappan member
+        # 1e-7 (1, 1) has an eigenvalue within CLUSTER_TOL of the zero
+        # root's; the solver keeps the zero root out of its eigenproblem, so
+        # the two do not form one cluster read as their average
+        sg = fl.cyclic_group(2)
+        inst = make_inst(sg, fl.identity_involution(sg), [(0, 1.0), (1, -0.9999999)])
+        built, found = family_stack("kannappan", inst), fl.oracle_solve("kannappan", inst).values
+        small = int(np.argmin(np.abs(built).max(axis=1)))
+        assert np.allclose(built[small], 1e-7, rtol=1e-6, atol=0.0)
+        gap = np.abs(found - built[small]).max(axis=1).min()
+        assert gap <= inst.mu.tolerance(1e-12, 1), gap
 
 
 class TestMatching:

@@ -223,3 +223,15 @@ def test_tolerance_calls_do_not_depend_on_the_member_count(monkeypatch):
                        + len(report.dalembert_conditions))
     assert members[0] != members[1]
     assert counts[0] == counts[1]
+
+
+def test_each_failure_is_reported_once():
+    # on Z2 with mu = delta_0 - 0.9999999 delta_1 the Kannappan member
+    # 1e-7 (1, 1) has a mass below the floor; its suite row reports
+    # nonzero_mass, and the bijection loop skips it without a second entry
+    sg = fl.cyclic_group(2)
+    inst = fl.Instance(sg=sg, tau=fl.identity_involution(sg),
+                       mu=fl.central_measure(sg, [(0, 1.0), (1, -0.9999999)]))
+    failures = [(f["identity"], f["provenance"], f["solution_index"]) for f in fl.verify_instance(inst).failures]
+    assert ("nonzero_mass", "constructed", 0) in failures
+    assert len(failures) == len(set(failures)), failures
