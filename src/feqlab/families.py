@@ -25,18 +25,25 @@ from .measures import CentralMeasure, atom_sum, cmul, right_integral_table, tota
 from .semigroups import FiniteSemigroup, Involution, validate_involution
 
 # Tolerances at ||mu|| = 1; a quantity of degree d in mu is compared with
-# mu.tolerance(TOL, d)
+# mu.tolerance(TOL, d); _vanishes alone decides whether int f dmu is zero
 ADMISSIBLE_TOL = 1e-9   # admissibility and membership predicates
 RESIDUAL_TOL = 1e-10    # residual assertions on constructed members
 DEDUP_EPS = 1e-8        # max-abs distance below which two functions coincide
+
+
+def _vanishes(mass, F, mu: CentralMeasure) -> np.ndarray:
+    """Where int f dmu (mass) counts as zero for the rows f of F: |int f dmu|
+    <= ADMISSIBLE_TOL * ||mu|| * max|f|, of degree 0 in mu and in f, so the
+    size of neither decides; a zero row always vanishes."""
+    return np.abs(mass) <= mu.tolerance(ADMISSIBLE_TOL, 1) * np.abs(F).max(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
 class CharacterIntegrals:
     """The multiplicative functions as one (m, n) stack chars, with their two
     integrals against mu, int chi dmu and int chi o tau dmu, each of shape
-    (m,).  Both are of degree 1 in mu, so admissibility compares them with
-    mu.tolerance(ADMISSIBLE_TOL, 1)."""
+    (m,).  Admissibility asks _vanishes whether int chi dmu is zero and
+    compares their gap, of degree 1 in mu, with mu.tolerance(ADMISSIBLE_TOL, 1)."""
 
     chars: np.ndarray
     int_mu: np.ndarray       # int chi dmu
@@ -55,8 +62,8 @@ class CharacterIntegrals:
             gap = self.int_mu_tau - self.int_mu
         else:
             raise ValueError(f"unknown equation kind {kind!r}")
-        tol = self.mu.tolerance(ADMISSIBLE_TOL, 1)
-        return (np.abs(self.int_mu) > tol) & (np.abs(gap) < tol)
+        nonzero = ~_vanishes(self.int_mu, self.chars, self.mu)
+        return nonzero & (np.abs(gap) < self.mu.tolerance(ADMISSIBLE_TOL, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +199,13 @@ def dalembert_to_kannappan(g, inst: Instance) -> np.ndarray:
 def kannappan_to_dalembert(f, inst: Instance) -> np.ndarray:
     """Inverse map: f -> (x -> int f(x t) dmu / int f dmu).
 
-    A vanishing denominator means f was not a nonzero Kannappan solution in
-    the first place, so it is reported as an error rather than patched over.
-    The mass has degree 2 in mu (f has degree 1).
+    A vanishing denominator (_vanishes) means f was not a nonzero Kannappan
+    solution in the first place, so it is reported as an error rather than
+    patched over.
     """
     f = np.asarray(f)
     mass = atom_sum(f[..., inst.mu.points], inst.mu)
-    small = np.abs(mass) <= inst.mu.tolerance(ADMISSIBLE_TOL, 2)
+    small = _vanishes(mass, f, inst.mu)
     if small.any():
         raise ZeroDenominator(f"int f dmu = {complex(mass[small].ravel()[0])}, cannot invert")
     return right_integral_table(inst.sg, f, inst.mu) / mass[..., None]
@@ -214,12 +221,13 @@ class DalembertConditions:
     double_mass:     int int g(t s) dmu dmu = (int g dmu)^2
 
     holds and deviations have shape (m, 3), one column per condition in
-    that order; mass is int g dmu, shape (m,)."""
+    that order; mass is int g dmu, shape (m,); the (m,) mask admissible marks
+    a mass that does not vanish (_vanishes) and all three conditions."""
 
     holds: np.ndarray
     deviations: np.ndarray
     mass: np.ndarray
-    mu: CentralMeasure
+    admissible: np.ndarray
 
     @property
     def consistent(self) -> np.ndarray:
@@ -229,12 +237,6 @@ class DalembertConditions:
     @property
     def all_hold(self) -> np.ndarray:
         return self.holds.all(axis=1)
-
-    @property
-    def admissible(self) -> np.ndarray:
-        """(m,) mask: a mass above mu.tolerance(ADMISSIBLE_TOL, 1) and all
-        three conditions."""
-        return (np.abs(self.mass) > self.mu.tolerance(ADMISSIBLE_TOL, 1)) & self.all_hold
 
 
 def integral_conditions(G, inst: Instance) -> DalembertConditions:
@@ -254,7 +256,8 @@ def integral_conditions(G, inst: Instance) -> DalembertConditions:
         np.abs(r - cmul(G, mass[:, None])).max(axis=1),
         np.abs(dd - cmul(mass, mass)),
     ]).T
-    return DalembertConditions(dev <= [tol1, tol1, mu.tolerance(ADMISSIBLE_TOL, 2)], dev, mass, mu)
+    holds = dev <= [tol1, tol1, mu.tolerance(ADMISSIBLE_TOL, 2)]
+    return DalembertConditions(holds, dev, mass, ~_vanishes(mass, G, mu) & holds.all(axis=1))
 
 
 def dalembert_integral_conditions(g, inst: Instance) -> DalembertConditions:
@@ -310,12 +313,12 @@ class SuiteReport:
         return [name for name, bad in zip(self.names + ("nonzero_mass",), self.failed[i]) if bad]
 
 
-def _failed(names, deviations, mass, required, mu: CentralMeasure) -> np.ndarray:
+def _failed(names, deviations, mass, F, required, mu: CentralMeasure) -> np.ndarray:
     """SuiteReport.failed: identity name off by more than
-    mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name]), and last a mass within
-    mu.tolerance(ADMISSIBLE_TOL, 2) of zero where required (a mask or True)."""
+    mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name]), and last a mass that
+    vanishes (_vanishes) for its row of F where required (a mask or True)."""
     tol = [mu.tolerance(RESIDUAL_TOL, MU_DEGREE[name]) for name in names]
-    small = required & (np.abs(mass) <= mu.tolerance(ADMISSIBLE_TOL, 2))
+    small = required & _vanishes(mass, F, mu)
     return np.concatenate([deviations > tol, small[:, None]], axis=1)
 
 
@@ -367,7 +370,7 @@ def identity_suites(kind: str, F, inst: Instance) -> SuiteReport:
     names = tuple(checks)
     worst, argmax = zip(*map(_worst_rows, checks.values()))
     deviations = np.array(worst).T
-    return SuiteReport(names, deviations, argmax, mass, _failed(names, deviations, mass, required, mu))
+    return SuiteReport(names, deviations, argmax, mass, _failed(names, deviations, mass, F, required, mu))
 
 
 def van_vleck_identity_suite(f, inst: Instance) -> SuiteReport:

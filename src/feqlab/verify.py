@@ -19,6 +19,9 @@ TOL = RESIDUAL_TOL and ADMISSIBLE_TOL, ||mu|| the total variation and d the
 degree in mu of the terms compared (a solution f has degree 1, the
 d'Alembert g = int f(x t) dmu / int f dmu degree 0), so neither a heavy nor
 a light measure turns rounding into a reported failure or hides a real one.
+Whether int f dmu vanishes is decided by one rule of degree 0 in mu and in
+f, |int f dmu| <= ADMISSIBLE_TOL * ||mu|| * max|f| (families._vanishes), so
+a small member of a near-cancelling measure keeps its mass.
 """
 from __future__ import annotations
 
@@ -28,8 +31,8 @@ import numpy as np
 
 from .equations import SOLUTION_DEGREE, Instance, residuals
 from .families import (
-    ADMISSIBLE_TOL,
     RESIDUAL_TOL,
+    _vanishes,
     character_integrals,
     dalembert_to_kannappan,
     family_stack,
@@ -64,11 +67,10 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
     """Run every check on inst."""
     integrals = character_integrals(inst)
     mu = inst.mu
-    floor = mu.tolerance(ADMISSIBLE_TOL, 2)  # below it, int f dmu counts as zero
     failures: list[dict] = []
 
     def fail(identity, max_abs, provenance, index, argmax=()):
-        failures.append({"argmax": list(argmax), "identity": identity, "max_abs": max_abs,
+        failures.append({"argmax": list(argmax), "identity": identity, "max_abs": float(max_abs),
                          "provenance": provenance, "solution_index": index})
 
     def solutions(kind):
@@ -102,56 +104,49 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
     kan_entries, kan_mass, kan_told = suite_entries("kannappan", kan_prov, K)
 
     # bijection round-trips on the cosine-type solutions, which need a mass
-    # (the suites' int f dmu); their images G take the d'Alembert checks in
-    # one stack with the solutions D
-    live = np.abs(kan_mass) > floor
-    G = kannappan_to_dalembert(K[live], inst)
-    back = np.abs(dalembert_to_kannappan(G, inst) - K[live]).max(axis=1)
-    dal_prov, D = solutions("dalembert")
-    GD = np.concatenate([G, D])
-    conds = integral_conditions(GD, inst)
-    d_res, d_at = residuals("dalembert", GD, inst)
-    admissible, g = conds.admissible, len(G)
-    off = (d_res[:g] > RESIDUAL_TOL) | ~admissible[:g] | (back > mu.tolerance(RESIDUAL_TOL, 1))
-    rows = zip(off.tolist(), d_res[:g].tolist(), back.tolist(), d_at[:g].tolist())
-    for i, (prov, ok_mass, told) in enumerate(zip(kan_prov, live.tolist(), kan_told.tolist())):
-        if not ok_mass:
-            if not told:  # else its suite row reported nonzero_mass
-                fail("nonzero_mass", 0.0, prov, i)
-            continue
-        hit, res, b, at = next(rows)
-        if hit:
-            fail("bijection_inverse", max(res, b), prov, i, at)
+    # (the suites' int f dmu): row i of G is the image of row i of K, zero
+    # where the mass vanishes
+    live = ~_vanishes(kan_mass, K, mu)
+    G = np.zeros_like(K)
+    G[live] = kannappan_to_dalembert(K[live], inst)
+    g_res, g_at = residuals("dalembert", G, inst)
+    back = np.where(live, np.abs(dalembert_to_kannappan(G, inst) - K).max(axis=1), 0.0)
+    off = (g_res > RESIDUAL_TOL) | ~integral_conditions(G, inst).admissible
+    off = live & (off | (back > mu.tolerance(RESIDUAL_TOL, 1)))
+    for i in np.flatnonzero(off | ~(live | kan_told)).tolist():
+        if live[i]:
+            fail("bijection_inverse", max(g_res[i], back[i]), kan_prov[i], i, g_at[i].tolist())
+        else:  # its suite row did not report nonzero_mass
+            fail("nonzero_mass", 0.0, kan_prov[i], i)
 
     # integral-condition equivalence and forward round-trips on the
-    # d'Alembert solutions
-    ahead = (d_res[g:] <= RESIDUAL_TOL) & admissible[g:]
-    Fk = dalembert_to_kannappan(D[ahead], inst)
+    # d'Alembert solutions: row i of Fk is the image of row i of D
+    dal_prov, D = solutions("dalembert")
+    conds = integral_conditions(D, inst)
+    d_res, d_at = residuals("dalembert", D, inst)
+    Fk = dalembert_to_kannappan(D, inst)
     f_res, f_at = residuals("kannappan", Fk, inst)
-    f_live = np.abs(total_mass_integral(Fk, mu)) > floor  # else not a valid member
-    fwd_back = np.abs(kannappan_to_dalembert(Fk[f_live], inst) - D[ahead][f_live]).max(axis=1)
-    f_tol = mu.tolerance(RESIDUAL_TOL, 2)
-    images = zip(f_live.tolist(), f_res.tolist(), f_at.tolist())
-    backs = iter(fwd_back.tolist())
-    dal_entries = []
-    for i, (prov, holds, devs, ok, m, res, at, go) in enumerate(zip(
-        dal_prov, conds.holds[g:].tolist(), conds.deviations[g:].tolist(),
-        conds.consistent[g:].tolist(), conds.mass[g:].tolist(), d_res[g:].tolist(),
-        d_at[g:].tolist(), ahead.tolist(),
-    )):
-        dal_entries.append({"conditions": dict(zip(CONDITIONS, holds)), "consistent": ok,
-                            "mass": m, "solution_index": i})
-        if res > RESIDUAL_TOL:
-            fail("dalembert_equation", res, prov, i, at)
-        elif not ok:
-            fail("integral_conditions_equivalence", max(devs), "dalembert", i)
-        elif go:
-            ok_mass, fr, fat = next(images)
-            b = next(backs) if ok_mass else 0.0
-            if not ok_mass:
-                fail("nonzero_mass", 0.0, "dalembert", i)
-            elif fr > f_tol or b > RESIDUAL_TOL:
-                fail("bijection_forward", max(fr, b), "dalembert", i, fat)
+    bad = d_res > RESIDUAL_TOL
+    odd = ~bad & ~conds.consistent
+    ahead = ~bad & conds.admissible
+    dead = ahead & _vanishes(total_mass_integral(Fk, mu), Fk, mu)  # not a valid member
+    go = ahead & ~dead
+    fwd_back = np.zeros(len(D))
+    fwd_back[go] = np.abs(kannappan_to_dalembert(Fk[go], inst) - D[go]).max(axis=1)
+    wrong = go & ((f_res > mu.tolerance(RESIDUAL_TOL, 2)) | (fwd_back > RESIDUAL_TOL))
+    for i in np.flatnonzero(bad | odd | dead | wrong).tolist():
+        if bad[i]:
+            fail("dalembert_equation", d_res[i], dal_prov[i], i, d_at[i].tolist())
+        elif odd[i]:
+            fail("integral_conditions_equivalence", conds.deviations[i].max(), "dalembert", i)
+        elif dead[i]:
+            fail("nonzero_mass", 0.0, "dalembert", i)
+        else:
+            fail("bijection_forward", max(f_res[i], fwd_back[i]), "dalembert", i, f_at[i].tolist())
+    dal_entries = [{"conditions": dict(zip(CONDITIONS, holds)), "consistent": ok, "mass": m,
+                    "solution_index": i}
+                   for i, (holds, ok, m) in enumerate(zip(
+                       conds.holds.tolist(), conds.consistent.tolist(), conds.mass.tolist()))]
 
     trips = {"backward": float(back.max(initial=0.0)), "forward": float(fwd_back.max(initial=0.0))}
     return VerifyReport(vv_entries, kan_entries, dal_entries, trips, failures)

@@ -3,10 +3,12 @@
     PYTHONPATH=src python tests/output_sweep.py OUTDIR
     python tests/output_sweep.py --compare A B
 
-The first form runs 860 requests in one process through feqlab.cli.main:
-86 specs (the conftest grid of 78 and the 8 ladder instances) times
-validate, chars, solve x3, solve --oracle --seed 0 x3, verify-theorems
---seed 0 and solve kannappan --include-zero.  Each request's exit code and
+The first form runs 900 requests in one process through feqlab.cli.main:
+90 specs (the conftest grid of 78, the 8 ladder instances and 4
+near-cancelling measures delta_0 - w delta_1 on Z2 with tau = id, whose
+small members lie below ||mu||^2) times validate, chars, solve x3, solve
+--oracle --seed 0 x3, verify-theorems --seed 0 and solve kannappan
+--include-zero.  Each request's exit code and
 stdout go to OUTDIR/<spec>.<request>.txt, the exit code on the first line.
 feqlab is imported from PYTHONPATH, so one copy of this script records any
 checkout.
@@ -39,14 +41,20 @@ REQUESTS = {  # argv with SPEC for the spec file
     "verify": ["verify-theorems", "SPEC", "--seed", "0"],
     "kannappan-zero": ["solve", "kannappan", "SPEC", "--include-zero"],
 }
+NEAR_CANCELLING = (0.999, 0.99999, 0.9999999, 0.999999999)  # the weights w
 
 
 def specs() -> dict[str, dict]:
-    """The 86 spec files' contents, keyed by a file-name-safe name."""
+    """The 90 spec files' contents, keyed by a file-name-safe name."""
+    import feqlab as fl
     from conftest import build_grid, ladder_instances
 
     instances = {case.name: case.inst for case in build_grid()}
     instances.update({f"ladder/{k}": v for k, v in ladder_instances().items()})
+    z2 = fl.cyclic_group(2)
+    for w in NEAR_CANCELLING:
+        mu = fl.central_measure(z2, [(0, 1.0), (1, -w)])
+        instances[f"near/Z2/id/d0-{w}d1"] = fl.Instance(sg=z2, tau=fl.identity_involution(z2), mu=mu)
     out = {}
     for name, inst in instances.items():
         out[re.sub(r"[^A-Za-z0-9+^=-]", "_", name)] = {

@@ -436,7 +436,7 @@ def verify_instance_loop(
             worst = max(conds.deviations[0].tolist())
             fail("integral_conditions_equivalence", worst, "dalembert", i)
             continue
-        if abs(mass) > mu.tolerance(ADMISSIBLE_TOL, 1) and conds.all_hold[0]:
+        if conds.admissible[0]:
             f = dalembert_to_kannappan(g, inst)
             f_res = fl.residual("kannappan", f, inst)
             try:

@@ -75,6 +75,50 @@ def test_admissible_masks_match_predicates_at_the_boundary():
     assert stacked.admissible("kannappan").tolist() == [False] * 5
 
 
+SEMILATTICE = fl.validate_semigroup([[0, 0], [0, 1]])  # 0 is a zero, 1 the identity
+
+
+def on_the_floor(lam: complex, steps: int) -> fl.Instance:
+    """mu = lam delta_0 + w lam / |lam| delta_1 with |w| on the vanishing
+    floor 1e-9 * ||mu|| = 1e-9 * (|lam| + |w|) exactly (its fixed point),
+    then moved up by steps floats; the floor itself does not move."""
+    unit, w = lam / abs(lam), 1e-9 * abs(lam)
+    for _ in range(10):
+        mu = fl.central_measure(SEMILATTICE, [(0, lam), (1, w * unit)])
+        w, last = mu.tolerance(1e-9, 1), w
+        if w == last:
+            break
+    floor = w
+    for _ in range(steps):
+        w = np.nextafter(w, np.inf)
+    mu = fl.central_measure(SEMILATTICE, [(0, lam), (1, w * unit)])
+    assert mu.tolerance(1e-9, 1) == floor == last
+    return fl.Instance(sg=SEMILATTICE, tau=fl.identity_involution(SEMILATTICE), mu=mu)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-40, 1e-9j, 1e40])
+@pytest.mark.parametrize("steps, vanishes", [(0, True), (1, False)])
+def test_vanishing_mass_is_one_rule_at_the_boundary(lam, steps, vanishes):
+    # the character g = (0, 1) is a d'Alembert solution with int g dmu = w,
+    # and the cosine-type row f = lam g has int f dmu = w lam: both sit
+    # exactly on |int f dmu| = 1e-9 * ||mu|| * max|f|, or one step above it.
+    # Every site decides alike, and (f, mu) -> (lam f, lam mu) keeps the
+    # verdict.
+    inst = on_the_floor(lam, steps)
+    g = np.array([0.0, 1.0], dtype=complex)
+    f = lam * g
+    assert fl.character_integrals(inst, g[None]).admissible("kannappan").tolist() == [not vanishes]
+    conds = fl.dalembert_integral_conditions(g, inst)
+    assert conds.all_hold.tolist() == [True]
+    assert conds.admissible.tolist() == [not vanishes]
+    assert fl.kannappan_identity_suite(f, inst).failed[:, -1].tolist() == [vanishes]
+    if vanishes:
+        with pytest.raises(fl.ZeroDenominator):
+            fl.kannappan_to_dalembert(f, inst)
+    else:
+        assert np.isfinite(fl.kannappan_to_dalembert(f, inst)).all()
+
+
 @pytest.mark.parametrize("kind, column", [("van_vleck", "int_mu_tau"), ("kannappan", "int_mu")])
 def test_members_carry_the_integral_of_their_kind(kind, column):
     # sine members scale by int chi o tau dmu, cosine members by int chi dmu;

@@ -28,6 +28,14 @@ def write_spec(tmp_path, name="inst.json", **overrides):
     return str(path)
 
 
+NEAR_CANCELLING_Z2 = {  # Z2, tau = id, mu = delta_0 - 0.9999999 delta_1
+    "order": 2,
+    "cayley": [0, 1, 1, 0],
+    "involution": [0, 1],
+    "measure": [{"point": 0, "re": 1.0, "im": 0.0}, {"point": 1, "re": -0.9999999, "im": 0.0}],
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
@@ -203,13 +211,21 @@ class TestSolveCommand:
         # on Z2 with mu = delta_0 - 0.9999999 delta_1, int 1 dmu = 1e-7, so
         # (1e-7, 1e-7) is a member: below the matching distance, above the
         # dedup distance, and both routes keep it
-        measure = [{"point": 0, "re": 1.0, "im": 0.0}, {"point": 1, "re": -0.9999999, "im": 0.0}]
-        path = write_spec(tmp_path, order=2, cayley=[0, 1, 1, 0], involution=[0, 1], measure=measure)
+        path = write_spec(tmp_path, **NEAR_CANCELLING_Z2)
         code, out = run(capsys, "solve", "kannappan", path, "--oracle")
         assert code == 0
         report = json.loads(out)
         assert len(report["solutions"]) == len(report["oracle"]["solutions"]) == 2
         assert report["match"]["verdict"] == "match"
+
+    def test_near_cancelling_measure_verifies(self, tmp_path, capsys):
+        # the member 1e-7 (1, 1) is a genuine solution: int f dmu = 1e-14 lies
+        # below 1e-9 * ||mu||^2 = 4e-9, but far above the vanishing floor
+        # 1e-9 * ||mu|| * max|f| = 2e-16
+        path = write_spec(tmp_path, **NEAR_CANCELLING_Z2)
+        code, out = run(capsys, "verify-theorems", path)
+        report = json.loads(out)
+        assert (code, report["pass"]) == (0, True), report.get("first_failure")
 
     def test_mismatch_exit_code(self, tmp_path, capsys, monkeypatch):
         # forge an oracle that reports a bogus extra solution

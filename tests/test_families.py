@@ -340,7 +340,7 @@ class TestVanVleckSuite:
 
         def failures(dev):
             deviations, mass, required = np.array([[dev]]), np.ones(1, complex), np.ones(1, bool)
-            failed = _failed((name,), deviations, mass, required, mu)
+            failed = _failed((name,), deviations, mass, np.ones((1, 4), complex), required, mu)
             argmax = (np.zeros((1, 1), np.intp),)
             return SuiteReport((name,), deviations, argmax, mass, failed).failures()
 
