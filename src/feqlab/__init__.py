@@ -5,9 +5,8 @@ from .characters import enumerate_multiplicative
 from .equations import (
     KINDS,
     Instance,
-    Residual,
     linear_part,
-    residual,
+    residuals,
 )
 from .errors import (
     EntryOutOfRange,
@@ -41,7 +40,6 @@ from .measures import (
     CentralMeasure,
     central_measure,
     is_tau_invariant,
-    pushforward_tau,
     total_mass_integral,
 )
 from .oracle import (

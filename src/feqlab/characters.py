@@ -81,14 +81,14 @@ def enumerate_multiplicative(sg: FiniteSemigroup) -> np.ndarray:
     canonically ordered.
 
     Completeness rests on the certificate of closed_system_roots; when no
-    draw certifies (a root of very high multiplicity, as at the zero
-    function of a deep nilpotent semigroup), the roots of every draw are
-    pooled.  The roots passed the ROOT_TOL residual, so each value lies near
-    its closed-form snap, and one gather checks every pair of every snapped
-    root.  dedup_canonical at MULT_TOL drops the zero function and keeps one
-    of each run of exact copies: distinct functions differ by at least
-    2 sin(pi / p) in some value, so the order, rounded at 1e-8, never ties
-    them.
+    draw certifies (eigenvalues closer than the absolute CLUSTER_TOL, as the
+    oracle's for two small members of a near-cancelling measure), the roots
+    of every draw are pooled.  The roots passed the ROOT_TOL residual, so
+    each value lies near its closed-form snap, and one gather checks every
+    pair of every snapped root.  dedup_canonical at MULT_TOL drops the zero
+    function and keeps one of each run of exact copies: distinct functions
+    differ by at least 2 sin(pi / p) in some value, so the order, rounded at
+    1e-8, never ties them.
     """
     L = (sg.cayley == np.arange(sg.order)[:, None, None]) * 2  # 2 chi(x) chi(y) = 2 chi(xy)
     roots, _, _ = closed_system_roots(L, ROOT_TOL, draws=DRAWS)

@@ -1,9 +1,9 @@
-"""The residual of every functional equation handled by the package.
+"""The residuals of every functional equation handled by the package.
 
-Each equation is its linear part minus 2 f(x) f(y); the residual scans all
-pairs (x, y) and reports the worst absolute deviation together with where
-it happened.  Everything is an exact finite computation in complex double
-precision.
+Each equation is its linear part minus 2 f(x) f(y); residuals scans all
+pairs (x, y) for every row of a stack of functions and reports each row's
+worst absolute deviation together with where it happened.  Everything is an
+exact finite computation in complex double precision.
 """
 from __future__ import annotations
 
@@ -46,14 +46,6 @@ class Instance:
         return inst
 
 
-@dataclass(frozen=True)
-class Residual:
-    """Worst absolute deviation and the argument tuple attaining it."""
-
-    max_abs: float
-    argmax: tuple[int, ...]
-
-
 def _worst_rows(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Worst absolute deviation of each member of the stack dev and the
     argument tuple attaining it, as arrays of shape (m,) and (m, dev.ndim - 1);
@@ -90,17 +82,12 @@ def _deviation(kind, F, sg, tau, mu=None) -> np.ndarray:
 
 
 def residuals(kind: str, F, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """residual of every row of the (m, n) stack F, bit for bit as alone:
-    the worst deviations, shape (m,), and their (x, y), shape (m, 2)."""
-    return _worst_rows(_deviation(kind, F, inst.sg, inst.tau, inst.mu))
-
-
-def residual(kind: str, f, inst: Instance) -> Residual:
-    """Worst deviation of f from one equation over all (x, y):
+    """Worst deviation of every row f of the (m, n) stack F from one
+    equation over all (x, y), shape (m,), and the first (x, y) attaining it,
+    shape (m, 2); row i bit for bit as a stack of f alone:
 
     van_vleck: int f(x tau(y) t) - int f(x y t) = 2 f(x) f(y)
     kannappan: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)
     dalembert: g(xy) + g(x tau(y)) = 2 g(x) g(y)   (mu is ignored)
     """
-    worst, at = _worst_rows(_deviation(kind, f, inst.sg, inst.tau, inst.mu)[None])
-    return Residual(float(worst[0]), tuple(at[0].tolist()))
+    return _worst_rows(_deviation(kind, F, inst.sg, inst.tau, inst.mu))

@@ -103,23 +103,22 @@ def character_integrals(inst: Instance, chars=None) -> CharacterIntegrals:
     return CharacterIntegrals(X, int_mu, total_mass_integral(X[:, inst.tau.perm], inst.mu), inst.mu)
 
 
-def family_stack(kind: str, inst: Instance, chars=None, integrals=None) -> np.ndarray:
+def family_stack(kind: str, inst: Instance, chars=None) -> np.ndarray:
     """The members of family(kind, ...) as one read-only (m, n) stack in
-    canonical order, one expression over the stack of the characters; for
-    kannappan the image under dalembert_to_kannappan of the admissible even
-    parts, the d'Alembert rows before deduplication (module docstring).
-    integrals is character_integrals(inst, chars), if the caller has it."""
+    canonical order, one expression over the stack chars of the characters
+    (all of them if None); for kannappan the image under dalembert_to_kannappan
+    of the admissible even parts, the d'Alembert rows before deduplication
+    (module docstring)."""
     if kind not in SOLUTION_DEGREE:
         raise ValueError(f"unknown equation kind {kind!r}")
     perm = inst.tau.perm
     if kind == "van_vleck":
-        if integrals is None:
-            integrals = character_integrals(inst, chars)
+        integrals = character_integrals(inst, chars)
         keep = integrals.admissible()
         X = integrals.chars
         F = 0.5 * (X - X[:, perm])[keep] * integrals.int_mu_tau[keep, None]
     else:
-        X = _stack(inst, chars) if integrals is None else integrals.chars
+        X = _stack(inst, chars)
         F = 0.5 * (X + X[:, perm])
         if kind == "kannappan":
             F = dalembert_to_kannappan(F[integral_conditions(F, inst).admissible], inst)
@@ -130,13 +129,13 @@ def family_stack(kind: str, inst: Instance, chars=None, integrals=None) -> np.nd
     return F
 
 
-def family(kind: str, inst: Instance, chars=None, integrals=None) -> SolutionReport:
+def family(kind: str, inst: Instance, chars=None) -> SolutionReport:
     """Constructed solutions of one equation: the stack family_stack returns
     with the residual of every row.  van_vleck: all nonzero solutions (chi
     and chi o tau give the same member); dalembert: the abelian solutions
     (mu is ignored, so no integral is computed); kannappan: their images
     (int g dmu) g where g is admissible, all nonzero abelian solutions."""
-    F = family_stack(kind, inst, chars, integrals)
+    F = family_stack(kind, inst, chars)
     res, _ = residuals(kind, F, inst)
     return SolutionReport(kind, F, res, "constructed")
 

@@ -111,26 +111,20 @@ def right_integral_table(sg: FiniteSemigroup, f, mu: CentralMeasure) -> np.ndarr
     return atom_sum(np.asarray(f)[..., sg.cayley[:, mu.points]], mu)
 
 
-def total_mass_integral(f, mu: CentralMeasure):
-    """Integral of f itself: sum_i w_i f(z_i).  A complex for one function,
-    an array of them for a stack."""
-    mass = atom_sum(np.asarray(f)[..., mu.points], mu)
-    return complex(mass) if mass.ndim == 0 else mass
-
-
-def pushforward_tau(
-    sg: FiniteSemigroup, mu: CentralMeasure, tau: Involution
-) -> CentralMeasure:
-    """Image measure under tau: atoms (tau(z_i), w_i), remerged canonically."""
-    return central_measure(sg, [(tau(int(z)), w) for z, w in mu.atoms()])
+def total_mass_integral(f, mu: CentralMeasure) -> np.ndarray:
+    """Integral of f itself, sum_i w_i f(z_i), for every function along the
+    leading axes of f: a 0-d array for one function."""
+    return atom_sum(np.asarray(f)[..., mu.points], mu)
 
 
 def is_tau_invariant(sg: FiniteSemigroup, mu: CentralMeasure, tau: Involution) -> bool:
-    """Whether the pushforward under tau equals mu.  tau is a bijection, so
-    the pushforward only permutes the distinct atoms and keeps their weights
-    as the same floats: the comparison is exact.
+    """Whether the pushforward of mu under tau, the atoms (tau(z_i), w_i),
+    equals mu.  tau is a bijection, so the pushforward only permutes the
+    distinct points and keeps their weights as the same floats: the sorted
+    images and their weights are compared with mu exactly.
 
     Diagnostic only; none of the solution-family constructions require it.
     """
-    pf = pushforward_tau(sg, mu, tau)
-    return np.array_equal(pf.points, mu.points) and np.array_equal(pf.weights, mu.weights)
+    images = tau.perm[mu.points]
+    order = np.argsort(images)
+    return np.array_equal(images[order], mu.points) and np.array_equal(mu.weights[order], mu.weights)

@@ -97,10 +97,10 @@ class MatchResult:
         return not self.unmatched_left and not self.unmatched_right
 
 
-def match_solution_sets(a, b, eps: float = MATCH_EPS) -> MatchResult:
+def match_solution_sets(a, b, eps: float) -> MatchResult:
     """Match the rows of the stack a against the rows of the stack b at
-    max-abs distance <= eps, from one distance matrix (a report passes its
-    values)."""
+    max-abs distance <= eps, scaled like the solutions (the CLI passes
+    mu.tolerance(MATCH_EPS, d)), from one distance matrix."""
     close = max_abs_distances(a, b) <= eps
     allowed = [np.flatnonzero(row).tolist() for row in close]
     owner = [-1] * len(b)

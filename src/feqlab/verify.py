@@ -8,11 +8,11 @@ three integral conditions must agree.  Each check that fails is recorded,
 none raises.
 
 The solutions of one kind are checked as one (m, n) stack, the constructed
-members of family_stack and then those oracle_solve finds, each check one
-call for the whole set.  identity_suites and integral_conditions return one
-table each, whose pass/fail masks verify_instance reads; a member's row
-holds the numbers of the single-function calls (residual,
-van_vleck_identity_suite, ...) on that member alone.
+members of family_stack, built from one enumeration of the characters, and
+then those oracle_solve finds, each check one call for the whole set.
+residuals, identity_suites and integral_conditions return one table each,
+whose pass/fail masks verify_instance reads; a member's row holds the
+numbers of the same call on a stack of that member alone.
 
 Tolerances are mu.tolerance(TOL, d) = TOL * ||mu||**d, for the constants
 TOL = RESIDUAL_TOL and ADMISSIBLE_TOL, ||mu|| the total variation and d the
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characters import enumerate_multiplicative
 from .equations import SOLUTION_DEGREE, Instance, residuals
 from .families import (
     RESIDUAL_TOL,
     _vanishes,
-    character_integrals,
     dalembert_to_kannappan,
     family_stack,
     identity_suites,
@@ -65,7 +65,7 @@ class VerifyReport:
 
 def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyReport:
     """Run every check on inst."""
-    integrals = character_integrals(inst)
+    chars = enumerate_multiplicative(inst.sg)
     mu = inst.mu
     failures: list[dict] = []
 
@@ -74,7 +74,7 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
                          "provenance": provenance, "solution_index": index})
 
     def solutions(kind):
-        built = family_stack(kind, inst, integrals=integrals)
+        built = family_stack(kind, inst, chars)
         found = oracle_solve(kind, inst, cfg).values
         return ["constructed"] * len(built) + ["oracle"] * len(found), np.concatenate([built, found])
 

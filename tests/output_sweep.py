@@ -3,14 +3,18 @@
     PYTHONPATH=src python tests/output_sweep.py OUTDIR
     python tests/output_sweep.py --compare A B
 
-The first form runs 940 requests in one process through feqlab.cli.main:
-94 specs (the conftest grid of 78, the 8 ladder instances, 4
+The first form runs 970 requests in one process through feqlab.cli.main:
+97 specs (the conftest grid of 78, the 8 ladder instances, 4
 near-cancelling measures delta_0 - w delta_1 on Z2 with tau = id, whose
-small members lie below ||mu||^2, and 4 measures on Z3 with the inverse
+small members lie below ||mu||^2, 4 measures on Z3 with the inverse
 involution that bring a character's int chi o tau dmu within rounding
 distance of its int chi dmu: delta_0 + delta_1 + (1 - 1e-6) delta_2 and
-delta_0 + (0.5 + e) delta_1 + 0.5 delta_2 for e in 1e-9, 1.25e-9, 1e-8)
-times validate, chars, solve x3, solve
+delta_0 + (0.5 + e) delta_1 + 0.5 delta_2 for e in 1e-9, 1.25e-9, 1e-8,
+and 3 near-cancelling measures whose small Kannappan members lie closer
+together than the solver's cluster distance or outside its closed
+subspace: delta_0 - (1 - 1e-5) delta_2 on Z4 and delta_4 - (1 - 5e-5)
+delta_6 on Z12, both with tau = id, and delta_1 + (1 - 1e-7) delta_5 on Z6
+with the inverse involution) times validate, chars, solve x3, solve
 --oracle --seed 0 x3, verify-theorems --seed 0 and solve kannappan
 --include-zero.  Each request's exit code and
 stdout go to OUTDIR/<spec>.<request>.txt, the exit code on the first line.
@@ -50,10 +54,19 @@ NEAR_SYMMETRIC = (  # the atoms on Z3
     [(0, 1.0), (1, 1.0), (2, 1 - 1e-6)],
     *([(0, 1.0), (1, 0.5 + e), (2, 0.5)] for e in (1e-9, 1.25e-9, 1e-8)),
 )
+CLOSE_ROOTS = (  # (order of the cyclic group, involution, atoms)
+    (4, "id", [(0, 1.0), (2, -(1 - 1e-5))]),
+    (12, "id", [(4, 1.0), (6, -(1 - 5e-5))]),
+    (6, "inv", [(1, 1.0), (5, 1 - 1e-7)]),
+)
+
+
+def atoms_name(atoms) -> str:
+    return "+".join(f"d{z}" if w == 1 else f"{w!r}d{z}" for z, w in atoms)
 
 
 def specs() -> dict[str, dict]:
-    """The 94 spec files' contents, keyed by a file-name-safe name."""
+    """The 97 spec files' contents, keyed by a file-name-safe name."""
     import feqlab as fl
     from conftest import build_grid, ladder_instances
 
@@ -65,9 +78,13 @@ def specs() -> dict[str, dict]:
         instances[f"near/Z2/id/d0-{w}d1"] = fl.Instance(sg=z2, tau=fl.identity_involution(z2), mu=mu)
     z3 = fl.cyclic_group(3)
     for atoms in NEAR_SYMMETRIC:
-        name = "+".join(f"d{z}" if w == 1 else f"{w!r}d{z}" for z, w in atoms)
         mu = fl.central_measure(z3, atoms)
-        instances[f"near/Z3/inv/{name}"] = fl.Instance(sg=z3, tau=fl.inverse_involution(z3), mu=mu)
+        instances[f"near/Z3/inv/{atoms_name(atoms)}"] = fl.Instance(sg=z3, tau=fl.inverse_involution(z3), mu=mu)
+    for n, tau, atoms in CLOSE_ROOTS:
+        sg = fl.cyclic_group(n)
+        involution = {"id": fl.identity_involution, "inv": fl.inverse_involution}[tau](sg)
+        mu = fl.central_measure(sg, atoms)
+        instances[f"near/Z{n}/{tau}/{atoms_name(atoms)}"] = fl.Instance(sg=sg, tau=involution, mu=mu)
     out = {}
     for name, inst in instances.items():
         out[re.sub(r"[^A-Za-z0-9+^=-]", "_", name)] = {

@@ -3,6 +3,8 @@
 right_integral and double_integral are plain Python loops over the atoms; the
 inner sum of double_integral reuses right_integral verbatim, so the
 finite-sum Fubini identity holds exactly, not merely within rounding.
+pushforward_tau builds the image measure under tau, which is_tau_invariant
+compares with mu without building it.
 equation_matrix_add_at assembles each equation's linear part term by term
 with np.add.at.  van_vleck_family_dirac is the sine family specialized to a unit point mass,
 a cross-check of the general construction, and family_loop builds each
@@ -17,8 +19,9 @@ match_solution_sets_loop (one distance per pair) and json_report (json's
 encoder with a default hook for complex values).  orbit_walk follows the
 powers of one element; verify_instance_loop
 checks one solution at a time through the single-function calls (residual,
-the identity suites, the bijection maps), and closed_subspace_svd finds the
-closed subspace of the solver by SVD even where the symmetry forms vanish.
+here row 0 of residuals on a stack of one, the identity suites and the
+bijection maps), and closed_subspace_svd finds the closed subspace of the
+solver by SVD even where the symmetry forms vanish.
 multiplication_matrices stores the matrices M_y of the eigenvalue method on
 v = (1, f), whose lower blocks A_y the solver reads off its table.
 
@@ -50,7 +53,7 @@ from feqlab.families import (
     van_vleck_identity_suite,
 )
 from feqlab.measures import right_integral_table
-from feqlab.oracle import MATCH_EPS, MatchResult
+from feqlab.oracle import MatchResult
 
 ABELIAN_TOL = 1e-12
 
@@ -61,6 +64,20 @@ def max_abs(f) -> float:
 
 def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+@dataclass(frozen=True)
+class Residual:
+    """Worst absolute deviation and the argument tuple attaining it."""
+
+    max_abs: float
+    argmax: tuple[int, ...]
+
+
+def residual(kind: str, f, inst: fl.Instance) -> Residual:
+    """fl.residuals of the single function f: row 0 of a stack of one."""
+    worst, at = residuals(kind, np.asarray(f)[None], inst)
+    return Residual(float(worst[0]), tuple(at[0].tolist()))
 
 
 def canonical_key(f, scale: float = 1.0) -> tuple[tuple[float, float], ...]:
@@ -90,6 +107,13 @@ def right_integral(sg: fl.FiniteSemigroup, f, mu: fl.CentralMeasure, x: int) -> 
     return sum(
         (complex(w) * complex(f[row[z]]) for z, w in zip(mu.points, mu.weights)), 0j
     )
+
+
+def pushforward_tau(
+    sg: fl.FiniteSemigroup, mu: fl.CentralMeasure, tau: fl.Involution
+) -> fl.CentralMeasure:
+    """Image measure under tau: atoms (tau(z_i), w_i), remerged canonically."""
+    return fl.central_measure(sg, [(tau(int(z)), w) for z, w in mu.atoms()])
 
 
 def double_integral(
@@ -166,7 +190,7 @@ def van_vleck_family_dirac(
         funcs.append(complex(chi[tz0]) * 0.5 * (chi - chi[inst.tau.perm]))
     kept = dedup_canonical_loop(funcs, eps=dedup_eps)
     F = np.array(kept, dtype=np.complex128).reshape(len(kept), inst.sg.order)
-    res = np.array([fl.residual("van_vleck", f, inst).max_abs for f in F])
+    res = np.array([residual("van_vleck", f, inst).max_abs for f in F])
     return fl.SolutionReport("van_vleck", F, res, "constructed")
 
 
@@ -193,8 +217,8 @@ def character_integral_loop(inst: fl.Instance, chars) -> list[CharacterIntegral]
     """Both integrals of each multiplicative function, one function at a time."""
     mu = inst.mu
     return [
-        CharacterIntegral(chi, fl.total_mass_integral(chi, mu),
-                          fl.total_mass_integral(chi[inst.tau.perm], mu), mu)
+        CharacterIntegral(chi, fl.total_mass_integral(chi, mu).item(),
+                          fl.total_mass_integral(chi[inst.tau.perm], mu).item(), mu)
         for chi in chars
     ]
 
@@ -275,7 +299,7 @@ def enumerate_multiplicative_loop(sg: fl.FiniteSemigroup) -> list[np.ndarray]:
     return sorted(found.values(), key=canonical_key)
 
 
-def match_solution_sets_loop(a, b, eps: float = MATCH_EPS) -> MatchResult:
+def match_solution_sets_loop(a, b, eps: float) -> MatchResult:
     """match_solution_sets with the allowed lists built one pair at a time."""
     left, right = list(a), list(b)
     allowed = [
@@ -389,7 +413,7 @@ def verify_instance_loop(
             suite = suite_fn(sol.values, inst)
             deviations = dict(zip(suite.names, suite.deviations[0].tolist()))
             argmax = dict(zip(suite.names, (a[0].tolist() for a in suite.argmax)))
-            eq_res = fl.residual(kind, sol.values, inst)
+            eq_res = residual(kind, sol.values, inst)
             entries.append(
                 {
                     "equation_residual": eq_res.max_abs,
@@ -421,7 +445,7 @@ def verify_instance_loop(
             if (sol.provenance, i) not in told:  # else its suite reported it
                 fail("nonzero_mass", 0.0, sol.provenance, i)
             continue
-        g_res = fl.residual("dalembert", g, inst)
+        g_res = residual("dalembert", g, inst)
         try:
             ok_member = dalembert_admissible(g, inst)
         except fl.EquivalenceViolation:
@@ -450,7 +474,7 @@ def verify_instance_loop(
                 "solution_index": i,
             }
         )
-        g_res = fl.residual("dalembert", g, inst)
+        g_res = residual("dalembert", g, inst)
         if g_res.max_abs > RESIDUAL_TOL:
             fail("dalembert_equation", g_res.max_abs, sol.provenance, i, g_res.argmax)
             continue
@@ -460,7 +484,7 @@ def verify_instance_loop(
             continue
         if conds.admissible[0]:
             f = dalembert_to_kannappan(g, inst)
-            f_res = fl.residual("kannappan", f, inst)
+            f_res = residual("kannappan", f, inst)
             try:
                 back = max_abs_diff(kannappan_to_dalembert(f, inst), g)
             except fl.ZeroDenominator:
@@ -483,12 +507,12 @@ def verify_instance_loop(
 # checks of the paper's claims that the package does not run
 
 
-def _worst(dev: np.ndarray) -> fl.Residual:
+def _worst(dev: np.ndarray) -> Residual:
     worst, at = _worst_rows(dev[None])
-    return fl.Residual(float(worst[0]), tuple(at[0].tolist()))
+    return Residual(float(worst[0]), tuple(at[0].tolist()))
 
 
-def residual_mu_spherical(psi, inst: fl.Instance) -> fl.Residual:
+def residual_mu_spherical(psi, inst: fl.Instance) -> Residual:
     """Spherical-function equation: int psi(x t y) dmu(t) = psi(x) psi(y)."""
     pa = np.asarray(psi)
     t = inst.sg.cayley
@@ -498,7 +522,7 @@ def residual_mu_spherical(psi, inst: fl.Instance) -> fl.Residual:
     return _worst(lhs - np.outer(pa, pa))
 
 
-def kannappan_condition_residual(f, inst: fl.Instance) -> fl.Residual:
+def kannappan_condition_residual(f, inst: fl.Instance) -> Residual:
     """Deviation of the double-integral swap condition over all (x, y, z):
 
         int int f(x t y s z) dmu(t) dmu(s) = int int f(y t x s z) dmu(t) dmu(s)
@@ -550,9 +574,9 @@ def associated_dalembert(f, inst: fl.Instance) -> tuple[np.ndarray, TransformRep
     nonzero sine-type solution f, with its side conditions evaluated."""
     g = kannappan_to_dalembert(f, inst)
     report = TransformReport(
-        dalembert_residual=fl.residual("dalembert", g, inst).max_abs,
+        dalembert_residual=residual("dalembert", g, inst).max_abs,
         abelian=is_abelian_function(g, inst.sg),
-        mean=fl.total_mass_integral(g, inst.mu),
-        double_mass=fl.total_mass_integral(right_integral_table(inst.sg, g, inst.mu), inst.mu),
+        mean=fl.total_mass_integral(g, inst.mu).item(),
+        double_mass=fl.total_mass_integral(right_integral_table(inst.sg, g, inst.mu), inst.mu).item(),
     )
     return g, report

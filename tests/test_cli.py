@@ -61,9 +61,9 @@ def forge_family(monkeypatch, kind, values):
     the other kinds keep their real families."""
     real = verify.family_stack
 
-    def fake_family_stack(k, inst, chars=None, **kw):
+    def fake_family_stack(k, inst, chars=None):
         if k != kind:
-            return real(k, inst, chars, **kw)
+            return real(k, inst, chars)
         return np.asarray(values, dtype=complex)[None]
 
     monkeypatch.setattr(verify, "family_stack", fake_family_stack)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import feqlab as fl
 
 from conftest import build_grid
-from scalar_reference import double_integral, right_integral
+from scalar_reference import double_integral, pushforward_tau, right_integral
 
 Z4 = fl.cyclic_group(4)
 NEG = fl.inverse_involution(Z4)
@@ -152,13 +152,13 @@ class TestAtomOrder:
 class TestPushforward:
     def test_symmetric_support_invariant(self):
         mu = z4_measure((1, 1.0), (3, 1.0))
-        pf = fl.pushforward_tau(Z4, mu, NEG)
+        pf = pushforward_tau(Z4, mu, NEG)
         assert pf.atoms() == mu.atoms()
         assert fl.is_tau_invariant(Z4, mu, NEG)
 
     def test_asymmetric_support_not_invariant(self):
         mu = z4_measure((1, 1.0))
-        pf = fl.pushforward_tau(Z4, mu, NEG)
+        pf = pushforward_tau(Z4, mu, NEG)
         assert pf.atoms() == [(3, 1 + 0j)]
         assert not fl.is_tau_invariant(Z4, mu, NEG)
 
@@ -176,10 +176,28 @@ class TestPushforward:
         mu = z4_measure((0, 2j), (3, 1.0))
         assert fl.is_tau_invariant(Z4, mu, tau)
 
+    def test_invariance_is_the_pushforward_on_grid(self):
+        # is_tau_invariant against building the image measure; each grid
+        # measure, then its support closed under tau with equal weights and
+        # the first weight moved by one ulp
+        moved = 0
+        for case in build_grid():
+            mu, tau, sg = case.inst.mu, case.inst.tau, case.inst.sg
+            support = sorted(set(mu.points.tolist()) | set(tau.perm[mu.points].tolist()))
+            closed = fl.central_measure(sg, [(z, 1.0) for z in support])
+            bumped = fl.central_measure(
+                sg, [(z, np.nextafter(1.0, 2.0) if i == 0 else 1.0) for i, z in enumerate(support)])
+            for m in (mu, closed, bumped):
+                want = pushforward_tau(sg, m, tau).atoms() == m.atoms()
+                assert fl.is_tau_invariant(sg, m, tau) == want, case.name
+            assert fl.is_tau_invariant(sg, closed, tau)
+            moved += not fl.is_tau_invariant(sg, bumped, tau)
+        assert moved > 0
+
     def test_pushforward_involutive_on_grid(self):
         for case in build_grid():
             mu, tau, sg = case.inst.mu, case.inst.tau, case.inst.sg
-            twice = fl.pushforward_tau(sg, fl.pushforward_tau(sg, mu, tau), tau)
+            twice = pushforward_tau(sg, pushforward_tau(sg, mu, tau), tau)
             assert twice.atoms() == mu.atoms()
 
 

@@ -12,7 +12,7 @@ import feqlab as fl
 from conftest import ladder_instances, nilpotent_monoid
 from feqlab.equations import SOLUTION_DEGREE
 from feqlab.families import family_stack
-from scalar_reference import equation_matrix_add_at, max_abs_diff
+from scalar_reference import equation_matrix_add_at, max_abs_diff, residual
 
 Z4 = fl.cyclic_group(4)
 NEG = fl.inverse_involution(Z4)
@@ -106,7 +106,7 @@ class TestSoundness:
         # residual assembly
         for kind, inst in [("van_vleck", z4_d1), ("kannappan", z4_d2)]:
             for sol in fl.oracle_solve(kind, inst).solutions:
-                assert fl.residual(kind, sol.values, inst).max_abs < 1e-11
+                assert residual(kind, sol.values, inst).max_abs < 1e-11
 
     def test_dalembert_reevaluation(self):
         s3 = fl.symmetric_group_3()
@@ -114,7 +114,7 @@ class TestSoundness:
         rep = fl.oracle_solve("dalembert", inst)
         assert len(rep.solutions) == 2
         for sol in rep.solutions:
-            assert fl.residual("dalembert", sol.values, inst).max_abs < 1e-11
+            assert residual("dalembert", sol.values, inst).max_abs < 1e-11
 
     def test_pairwise_distance_exceeds_dedup_eps(self, z4_d2):
         rep = fl.oracle_solve("kannappan", z4_d2)
@@ -282,18 +282,18 @@ class TestAccuracy:
 class TestMatching:
     def test_identical_reports_match(self, z4_d2):
         rep = fl.oracle_solve("kannappan", z4_d2)
-        result = fl.match_solution_sets(rep.values, rep.values)
+        result = fl.match_solution_sets(rep.values, rep.values, eps=1e-6)
         assert result.is_match
         assert result.pairs == tuple((i, i) for i in range(len(rep)))
 
     def test_left_surplus_reported(self):
-        result = fl.match_solution_sets([SINE], [])
+        result = fl.match_solution_sets([SINE], [], eps=1e-6)
         assert not result.is_match
         assert result.unmatched_left == (0,)
         assert result.unmatched_right == ()
 
     def test_right_surplus_reported(self):
-        result = fl.match_solution_sets([], [SINE, COSINE])
+        result = fl.match_solution_sets([], [SINE, COSINE], eps=1e-6)
         assert result.unmatched_right == (0, 1)
 
     def test_eps_controls_matching(self):
@@ -307,6 +307,6 @@ class TestMatching:
         assert fl.match_solution_sets(constructed.values, found.values, eps=1e-6).is_match
 
     def test_permutation_resolved_by_matching(self):
-        result = fl.match_solution_sets([SINE, COSINE], [COSINE, SINE])
+        result = fl.match_solution_sets([SINE, COSINE], [COSINE, SINE], eps=1e-6)
         assert result.is_match
         assert result.pairs == ((0, 1), (1, 0))

@@ -118,8 +118,8 @@ def test_empty_stacks():
     assert dedup_canonical(empty, 1e-8).size == 0
     assert canonical_order(empty).size == 0
     one = [np.ones(3, dtype=complex)]
-    assert fl.match_solution_sets([], one) == match_solution_sets_loop([], one)
-    assert fl.match_solution_sets(one, []) == match_solution_sets_loop(one, [])
+    assert fl.match_solution_sets([], one, 1e-6) == match_solution_sets_loop([], one, 1e-6)
+    assert fl.match_solution_sets(one, [], 1e-6) == match_solution_sets_loop(one, [], 1e-6)
 
 
 def test_grid_dedup_and_match_match_loops(grid, oracle_cache):

@@ -21,8 +21,9 @@ from feqlab.families import (
     integral_conditions,
 )
 
+import scalar_reference
 from conftest import build_grid, ladder_instances
-from scalar_reference import verify_instance_loop
+from scalar_reference import residual, verify_instance_loop
 
 Z4 = fl.cyclic_group(4)
 Z4_D1 = fl.Instance(
@@ -43,9 +44,9 @@ def test_forged_family_lands_in_failures(monkeypatch):
     real = verify.family_stack
     bad = np.full(4, 7.0, dtype=complex)
 
-    def fake_family_stack(kind, inst, chars=None, **kw):
+    def fake_family_stack(kind, inst, chars=None):
         if kind != "van_vleck":
-            return real(kind, inst, chars, **kw)
+            return real(kind, inst, chars)
         return bad[None]
 
     monkeypatch.setattr(verify, "family_stack", fake_family_stack)
@@ -109,14 +110,14 @@ def test_stack_matches_loop_on_failures(monkeypatch):
         "dalembert": [np.array([1.0, 2.0, 1.0, 2.0], dtype=complex)],
     }
 
-    def fake_family(kind, inst, chars=None, **kw):
-        built = real(kind, inst, chars, **kw)
+    def fake_family(kind, inst, chars=None):
+        built = real(kind, inst, chars)
         F = np.concatenate([np.array(forged[kind]), built.values])
         res = np.concatenate([np.zeros(len(forged[kind])), built.residuals])
         return SolutionReport(kind, F, res, "constructed")
 
-    def fake_family_stack(kind, inst, chars=None, **kw):
-        return np.concatenate([np.array(forged[kind]), real_stack(kind, inst, chars, **kw)])
+    def fake_family_stack(kind, inst, chars=None):
+        return np.concatenate([np.array(forged[kind]), real_stack(kind, inst, chars)])
 
     monkeypatch.setattr(verify, "family_stack", fake_family_stack)
     monkeypatch.setattr(fl, "family", fake_family)  # the loop's family
@@ -186,7 +187,7 @@ def test_member_numbers_do_not_depend_on_the_stack(name, kind):
         conds = integral_conditions(S, inst)
         suites = identity_suites(kind, S, inst) if kind != "dalembert" else None
         for i, f in enumerate(S.copy()):  # each member alone, as a fresh array
-            alone = fl.residual(kind, f, inst)
+            alone = residual(kind, f, inst)
             assert (alone.max_abs, alone.argmax) == (res[i], tuple(at[i]))
             assert_row_is_alone(conds, i, fl.dalembert_integral_conditions(f, inst))
             if suites is not None:
@@ -232,11 +233,133 @@ def test_each_failure_is_reported_once(monkeypatch):
     real = verify.family_stack
     forged = np.array([[1.0, 0.0, -1.0, 0.0]], dtype=complex)
 
-    def fake_family_stack(kind, inst, chars=None, **kw):
-        built = real(kind, inst, chars, **kw)
+    def fake_family_stack(kind, inst, chars=None):
+        built = real(kind, inst, chars)
         return np.concatenate([forged, built]) if kind == "kannappan" else built
 
     monkeypatch.setattr(verify, "family_stack", fake_family_stack)
     failures = [(f["identity"], f["provenance"], f["solution_index"]) for f in fl.verify_instance(Z4_D1).failures]
     assert ("nonzero_mass", "constructed", 0) in failures
     assert len(failures) == len(set(failures)), failures
+
+
+COSINE = np.array([1.0, 0.0, -1.0, 0.0], dtype=complex)
+
+
+def rows_of(F, f) -> np.ndarray:
+    """Mask of the rows of the stack F equal to f within rounding."""
+    return np.abs(np.asarray(F) - f).max(axis=1) <= 1e-12
+
+
+def test_identities_failed_by_a_solution_are_reported_in_order(monkeypatch):
+    # a forged suite table in which the second of the two sine members,
+    # which solves its equation, fails double_mass_tau and sandwich_plain:
+    # one failure per identity, in the table's order, with the table's
+    # deviation and argmax of that member's row
+    inst = CASES["Z2xZ4/inv/d1"]
+    target = fl.family("van_vleck", inst).values[1]
+    real = identity_suites
+
+    def forged(kind, F, inst):
+        suites = real(kind, F, inst)
+        if kind != "van_vleck":
+            return suites
+        rows = rows_of(F, target)
+        deviations, failed = suites.deviations.copy(), suites.failed.copy()
+        argmax = [a.copy() for a in suites.argmax]
+        for name, dev in (("sandwich_plain", 0.25), ("double_mass_tau", 0.5)):
+            k = suites.names.index(name)
+            deviations[rows, k], failed[rows, k] = dev, True
+        argmax[suites.names.index("sandwich_plain")][rows] = [5]
+        return dataclasses.replace(suites, deviations=deviations, argmax=tuple(argmax), failed=failed)
+
+    monkeypatch.setattr(verify, "identity_suites", forged)
+    monkeypatch.setattr(scalar_reference, "van_vleck_identity_suite",
+                        lambda f, inst: forged("van_vleck", np.asarray(f)[None], inst))
+    got = fl.verify_instance(inst)
+    hit = [(e["provenance"], e["solution_index"]) for e in got.van_vleck_suites
+           if e["identities"]["sandwich_plain"] == 0.25]
+    assert hit == [("constructed", 1), ("oracle", 3)]
+    assert got.failures == [
+        {"argmax": argmax, "identity": name, "max_abs": dev, "provenance": prov, "solution_index": i}
+        for prov, i in hit
+        for name, dev, argmax in (("double_mass_tau", 0.5, []), ("sandwich_plain", 0.25, [5]))
+    ]
+    assert_same_report(got, verify_instance_loop(inst), inst.mu)
+
+
+def forge_conditions(monkeypatch, target, **fields):
+    """verify's integral_conditions, and the loop's, with the given (3,) holds
+    and deviations rows or admissible value on the rows equal to target."""
+    real = integral_conditions
+
+    def forged(G, inst):
+        conds = real(G, inst)
+        rows = rows_of(G, target)
+        edits = {name: getattr(conds, name).copy() for name in fields}
+        for name, value in fields.items():
+            edits[name][rows] = value
+        return dataclasses.replace(conds, **edits)
+
+    monkeypatch.setattr(verify, "integral_conditions", forged)
+    monkeypatch.setattr(scalar_reference, "dalembert_integral_conditions",
+                        lambda g, inst: forged(np.asarray(g)[None], inst))
+
+
+def dalembert_rows(inst, target) -> tuple[np.ndarray, list[int]]:
+    """The d'Alembert solutions verify_instance checks, and the indices of
+    the rows equal to target."""
+    D = np.concatenate([verify.family_stack("dalembert", inst),
+                        fl.oracle_solve("dalembert", inst).values])
+    rows = np.flatnonzero(rows_of(D, target)).tolist()
+    assert len(rows) == 2  # the constructed copy and the oracle's
+    return D, rows
+
+
+def test_inconsistent_conditions_are_reported(monkeypatch):
+    # the cosine solves d'Alembert's equation with mass 0 and fails all three
+    # conditions; forged to hold only the proportionality, the conditions
+    # disagree, and the worst deviation is reported
+    _, rows = dalembert_rows(Z4_D1, COSINE)
+    forge_conditions(monkeypatch, COSINE, holds=[False, True, False], deviations=[0.25, 0.0, 0.5])
+    got = fl.verify_instance(Z4_D1)
+    assert got.failures == [
+        {"argmax": [], "identity": "integral_conditions_equivalence", "max_abs": 0.5,
+         "provenance": "dalembert", "solution_index": i}
+        for i in rows
+    ]
+    assert [got.dalembert_conditions[i]["consistent"] for i in rows] == [False, False]
+    assert_same_report(got, verify_instance_loop(Z4_D1), Z4_D1.mu)
+
+
+def test_admitted_member_of_zero_mass_is_reported(monkeypatch):
+    # the cosine, of mass 0, forged admissible: its image is zero, so the
+    # forward map has no member to go back from
+    _, rows = dalembert_rows(Z4_D1, COSINE)
+    forge_conditions(monkeypatch, COSINE, admissible=True)
+    got = fl.verify_instance(Z4_D1)
+    assert got.failures == [
+        {"argmax": [], "identity": "nonzero_mass", "max_abs": 0.0,
+         "provenance": "dalembert", "solution_index": i}
+        for i in rows
+    ]
+    assert_same_report(got, verify_instance_loop(Z4_D1), Z4_D1.mu)
+
+
+def test_admitted_member_whose_image_fails_is_reported(monkeypatch):
+    # on delta_0 + delta_1 the cosine has mass 1 but fails tau_shift; forged
+    # admissible, its image (int g dmu) g = g is no Kannappan solution
+    inst = CASES["Z4/inv/d0+d1"]
+    D, rows = dalembert_rows(inst, COSINE)
+    forge_conditions(monkeypatch, COSINE, admissible=True)
+    F = fl.dalembert_to_kannappan(D[rows], inst)
+    f_res, f_at = residuals("kannappan", F, inst)
+    back = np.abs(fl.kannappan_to_dalembert(F, inst) - D[rows]).max(axis=1)
+    assert (f_res > inst.mu.tolerance(1e-10, 2)).all()
+    got = fl.verify_instance(inst)
+    assert got.failures == [
+        {"argmax": at.tolist(), "identity": "bijection_forward", "max_abs": max(res, b),
+         "provenance": "dalembert", "solution_index": i}
+        for i, res, at, b in zip(rows, f_res, f_at, back)
+    ]
+    assert_same_report(got, verify_instance_loop(inst), inst.mu)
