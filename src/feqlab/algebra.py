@@ -3,7 +3,7 @@
 A system in n unknowns is closed when every product of two unknowns is a
 linear form: 2 f(x) f(y) = sum_j L[j, x, y] f(j), where the (n, n, n) table L
 is the linear side at each unit vector e_j, as equations.linear_part(kind,
-eye(n), ...) returns it.  Multiplicativity (L[j, x, y] = 2 where xy = j) and
+eye(n), inst) returns it.  Multiplicativity (L[j, x, y] = 2 where xy = j) and
 all three equations of the package are of this form.  Let A_y be the n x n
 matrix with row x equal to L[:, x, y] / 2; the A_y are notation, and each
 product with them is read off L.  The system says A_y f = f(y) f, so every

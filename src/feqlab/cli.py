@@ -216,7 +216,7 @@ def cmd_validate(args) -> int:
             for x, (i, p) in enumerate(zip(index.tolist(), period.tolist()))
         ],
         "order": sg.order,
-        "tau_invariant_measure": is_tau_invariant(sg, inst.mu, inst.tau),
+        "tau_invariant_measure": is_tau_invariant(inst.mu, inst.tau),
     }
     if labels is not None:
         summary["labels"] = labels

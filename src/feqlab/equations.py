@@ -56,11 +56,9 @@ def _worst_rows(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mags[np.arange(len(k)), k], np.array(at, dtype=np.intp).reshape(dev.ndim - 1, len(k)).T
 
 
-def linear_part(
-    kind: str, F, sg: FiniteSemigroup, tau: Involution, mu: CentralMeasure | None = None
-) -> np.ndarray:
-    """Linear side of one equation at every (x, y), batched over the leading
-    axes of F: shape F.shape[:-1] + (n, n).
+def linear_part(kind: str, F, inst: Instance) -> np.ndarray:
+    """Linear side of one equation on inst at every (x, y), batched over the
+    leading axes of F: shape F.shape[:-1] + (n, n).
 
     With r the right-integral table of F (r = F for d'Alembert, which ignores
     mu), Van Vleck is r(x tau(y)) - r(xy), and Kannappan and d'Alembert are
@@ -69,16 +67,16 @@ def linear_part(
     if kind not in KINDS:
         raise ValueError(f"unknown equation kind {kind!r}")
     Fa = np.asarray(F)
-    t = sg.cayley
-    r = Fa if kind == "dalembert" else right_integral_table(sg, Fa, mu)
-    plain, shifted = r[..., t], r[..., t[:, tau.perm]]
+    t = inst.sg.cayley
+    r = Fa if kind == "dalembert" else right_integral_table(inst.sg, Fa, inst.mu)
+    plain, shifted = r[..., t], r[..., t[:, inst.tau.perm]]
     return shifted - plain if kind == "van_vleck" else plain + shifted
 
 
-def _deviation(kind, F, sg, tau, mu=None) -> np.ndarray:
+def _deviation(kind, F, inst: Instance) -> np.ndarray:
     """linear_part minus 2 f(x) f(y), batched over the leading axes of F."""
     F = np.asarray(F)
-    return linear_part(kind, F, sg, tau, mu) - 2 * cmul(F[..., :, None], F[..., None, :])
+    return linear_part(kind, F, inst) - 2 * cmul(F[..., :, None], F[..., None, :])
 
 
 def residuals(kind: str, F, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -90,4 +88,4 @@ def residuals(kind: str, F, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     kannappan: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)
     dalembert: g(xy) + g(x tau(y)) = 2 g(x) g(y)   (mu is ignored)
     """
-    return _worst_rows(_deviation(kind, F, inst.sg, inst.tau, inst.mu))
+    return _worst_rows(_deviation(kind, F, inst))

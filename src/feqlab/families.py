@@ -12,6 +12,12 @@ The construction goes through the multiplicative functions chi:
 
 Non-abelian d'Alembert solutions have no constructive route here; they are
 reachable only through the numeric oracle.
+
+Every integral against mu is total_mass_integral or right_integral_table
+of measures; with r the table of f, int int f(x t s) is the table of r and
+int int f(t s) the mass of r.  Tilted integrals compose these with tau, as
+x tau(z) = tau(tau(x) z) for central z: int h(x tau(t)) is the table of
+h o tau read at tau(x), and int int f(tau(t) s) the mass of r o tau.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import numpy as np
 from .characters import dedup_canonical, enumerate_multiplicative
 from .equations import SOLUTION_DEGREE, Instance, _worst_rows, residuals
 from .errors import EquivalenceViolation, ZeroDenominator
-from .measures import CentralMeasure, atom_sum, cmul, right_integral_table, total_mass_integral
+from .measures import CentralMeasure, cmul, right_integral_table, total_mass_integral
 from .semigroups import FiniteSemigroup, Involution, validate_involution
 
 # Tolerances at ||mu|| = 1; a quantity of degree d in mu is compared with
@@ -161,34 +167,13 @@ def dalembert_abelian_family(sg: FiniteSemigroup, tau: Involution, chars=None) -
 
 
 # ---------------------------------------------------------------------------
-# double integrals as gathers over the right-integral table
-# r(u) = int f(u s) dmu(s):
-#   int int f(x lead(t) s) dmu(t) dmu(s) = sum_i w_i r(x lead(z_i)),
-# with lead the identity or tau; the double masses drop the x.
-
-def _leads(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """The atom points z_i and their images tau(z_i)."""
-    return inst.mu.points, inst.tau.perm[inst.mu.points]
-
-
-def _shifted_sums(r: np.ndarray, inst: Instance, lead: np.ndarray) -> np.ndarray:
-    """sum_i w_i r(x * lead_i) over all x."""
-    return atom_sum(r[..., inst.sg.cayley[:, lead]], inst.mu)
-
-
-def _double_mass(r: np.ndarray, inst: Instance, lead: np.ndarray) -> np.ndarray:
-    """sum_i w_i r(lead_i)."""
-    return atom_sum(r[..., lead], inst.mu)
-
-
-# ---------------------------------------------------------------------------
 # the mass-scaling bijection between admissible d'Alembert solutions and
 # nonzero Kannappan solutions, both maps batched over the leading axes
 
 def dalembert_to_kannappan(g, inst: Instance) -> np.ndarray:
     """Forward map: g -> (int g dmu) * g."""
     g = np.asarray(g)
-    return cmul(atom_sum(g[..., inst.mu.points], inst.mu)[..., None], g)
+    return cmul(total_mass_integral(g, inst.mu)[..., None], g)
 
 
 def kannappan_to_dalembert(f, inst: Instance) -> np.ndarray:
@@ -199,7 +184,7 @@ def kannappan_to_dalembert(f, inst: Instance) -> np.ndarray:
     patched over.
     """
     f = np.asarray(f)
-    mass = atom_sum(f[..., inst.mu.points], inst.mu)
+    mass = total_mass_integral(f, inst.mu)
     small = _vanishes(mass, f, inst.mu)
     if small.any():
         raise ZeroDenominator(f"int f dmu = {complex(mass[small].ravel()[0])}, cannot invert")
@@ -239,17 +224,14 @@ def integral_conditions(G, inst: Instance) -> DalembertConditions:
     as alone, each deviation compared with mu.tolerance(ADMISSIBLE_TOL, d) for
     its degree d in mu (1 for the shift tables, 2 for the double mass)."""
     G = np.asarray(G)
-    mu = inst.mu
+    sg, perm, mu = inst.sg, inst.tau.perm, inst.mu
     tol1 = mu.tolerance(ADMISSIBLE_TOL, 1)
-    plain, tilted = _leads(inst)
-    r = right_integral_table(inst.sg, G, mu)
-    r_tau = _shifted_sums(G, inst, tilted)
-    mass = atom_sum(G[:, plain], mu)
-    dd = _double_mass(r, inst, plain)
+    r = right_integral_table(sg, G, mu)
+    mass = total_mass_integral(G, mu)
     dev = np.array([
-        np.abs(r - r_tau).max(axis=1),
+        np.abs(r - right_integral_table(sg, G[:, perm], mu)[:, perm]).max(axis=1),
         np.abs(r - cmul(G, mass[:, None])).max(axis=1),
-        np.abs(dd - cmul(mass, mass)),
+        np.abs(total_mass_integral(r, mu) - cmul(mass, mass)),
     ]).T
     holds = dev <= [tol1, tol1, mu.tolerance(ADMISSIBLE_TOL, 2)]
     return DalembertConditions(holds, dev, mass, ~_vanishes(mass, G, mu) & holds.all(axis=1))
@@ -338,26 +320,28 @@ def identity_suites(kind: str, F, inst: Instance) -> SuiteReport:
     plus int f dmu != 0 exactly when f != 0.
     """
     F = np.asarray(F)
-    perm, mu = inst.tau.perm, inst.mu
-    plain, tilted = _leads(inst)
-    mass = atom_sum(F[:, plain], mu)
-    r = right_integral_table(inst.sg, F, mu)
+    sg, perm, mu = inst.sg, inst.tau.perm, inst.mu
+    mass = total_mass_integral(F, mu)
+    r = right_integral_table(sg, F, mu)
+    r_tau = r[:, perm]
     f_mass = cmul(F, mass[:, None])
+    sandwich_tau = right_integral_table(sg, r_tau, mu)[:, perm] - f_mass
+    sandwich_plain = right_integral_table(sg, r, mu)
     if kind == "van_vleck":
         checks = {
             "odd_part": F + F[:, perm],
-            "double_mass_plain": _double_mass(r, inst, plain),
-            "double_mass_tau": _double_mass(r, inst, tilted),
-            "sandwich_tau": _shifted_sums(r, inst, tilted) - f_mass,
-            "sandwich_plain": _shifted_sums(r, inst, plain) + f_mass,
-            "shift_symmetry": r[:, perm] - r,
+            "double_mass_plain": total_mass_integral(r, mu),
+            "double_mass_tau": total_mass_integral(r_tau, mu),
+            "sandwich_tau": sandwich_tau,
+            "sandwich_plain": sandwich_plain + f_mass,
+            "shift_symmetry": r_tau - r,
         }
         required = True
     elif kind == "kannappan":
         checks = {
             "even_part": F - F[:, perm],
-            "sandwich_tau": _shifted_sums(r, inst, tilted) - f_mass,
-            "sandwich_plain": _shifted_sums(r, inst, plain) - f_mass,
+            "sandwich_tau": sandwich_tau,
+            "sandwich_plain": sandwich_plain - f_mass,
         }
         required = np.abs(F).max(axis=1) > mu.tolerance(DEDUP_EPS, 1)
     else:

@@ -1,10 +1,11 @@
 """Complex point measures supported on the center, and their integrals.
 
 A measure is a finite sum of weighted Dirac masses at central elements, so
-every integral below is an exact finite weighted sum.  Integrals are batched
-over the leading axes of f and add the atoms in order (atom_sum), so that a
-function's integral does not depend on the stack it sits in; OpenBLAS rounds
-a matrix-vector product differently depending on how many rows it gets.
+every integral below is an exact finite weighted sum, and no other module
+gathers the atoms.  Integrals are batched over the leading axes of f and add
+the atoms in order (atom_sum), so that a function's integral does not depend
+on the stack it sits in; OpenBLAS rounds a matrix-vector product differently
+depending on how many rows it gets.
 """
 from __future__ import annotations
 
@@ -117,7 +118,7 @@ def total_mass_integral(f, mu: CentralMeasure) -> np.ndarray:
     return atom_sum(np.asarray(f)[..., mu.points], mu)
 
 
-def is_tau_invariant(sg: FiniteSemigroup, mu: CentralMeasure, tau: Involution) -> bool:
+def is_tau_invariant(mu: CentralMeasure, tau: Involution) -> bool:
     """Whether the pushforward of mu under tau, the atoms (tau(z_i), w_i),
     equals mu.  tau is a bijection, so the pushforward only permutes the
     distinct points and keeps their weights as the same floats: the sorted

@@ -3,7 +3,7 @@
 Each equation is a closed quadratic system in the n complex values of f: a
 linear part (the measure-weighted shifts) plus the uniform quadratic term
 -2 f(x) f(y), one complex equation per pair (x, y).  The solver reads the
-linear part as one table L, equations.linear_part on the n unit vectors,
+linear part as one table L, equations.linear_part(kind, eye(n), inst),
 which is the operator the residuals use.  The nonzero roots are the joint
 eigenvectors of n small matrices, read off from one eig of a seeded random
 combination, and the zero root is known exactly; a certificate says whether
@@ -65,7 +65,7 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
     if cfg is None:
         cfg = OracleConfig()
     n = inst.sg.order
-    L = linear_part(kind, np.eye(n, dtype=np.complex128), inst.sg, inst.tau, inst.mu)
+    L = linear_part(kind, np.eye(n, dtype=np.complex128), inst)
     degree = SOLUTION_DEGREE[kind]
     s = inst.mu.tolerance(1.0, degree)
     L /= s

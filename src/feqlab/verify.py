@@ -138,11 +138,11 @@ def verify_instance(inst: Instance, cfg: OracleConfig | None = None) -> VerifyRe
         if bad[i]:
             fail("dalembert_equation", d_res[i], dal_prov[i], i, d_at[i].tolist())
         elif odd[i]:
-            fail("integral_conditions_equivalence", conds.deviations[i].max(), "dalembert", i)
+            fail("integral_conditions_equivalence", conds.deviations[i].max(), dal_prov[i], i)
         elif dead[i]:
-            fail("nonzero_mass", 0.0, "dalembert", i)
+            fail("nonzero_mass", 0.0, dal_prov[i], i)
         else:
-            fail("bijection_forward", max(f_res[i], fwd_back[i]), "dalembert", i, f_at[i].tolist())
+            fail("bijection_forward", max(f_res[i], fwd_back[i]), dal_prov[i], i, f_at[i].tolist())
     dal_entries = [{"conditions": dict(zip(CONDITIONS, holds)), "consistent": ok, "mass": m,
                     "solution_index": i}
                    for i, (holds, ok, m) in enumerate(zip(

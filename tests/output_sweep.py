@@ -3,8 +3,8 @@
     PYTHONPATH=src python tests/output_sweep.py OUTDIR
     python tests/output_sweep.py --compare A B
 
-The first form runs 970 requests in one process through feqlab.cli.main:
-97 specs (the conftest grid of 78, the 8 ladder instances, 4
+The first form runs 990 requests in one process through feqlab.cli.main:
+99 specs (the conftest grid of 78, the 8 ladder instances, 4
 near-cancelling measures delta_0 - w delta_1 on Z2 with tau = id, whose
 small members lie below ||mu||^2, 4 measures on Z3 with the inverse
 involution that bring a character's int chi o tau dmu within rounding
@@ -14,7 +14,9 @@ and 3 near-cancelling measures whose small Kannappan members lie closer
 together than the solver's cluster distance or outside its closed
 subspace: delta_0 - (1 - 1e-5) delta_2 on Z4 and delta_4 - (1 - 5e-5)
 delta_6 on Z12, both with tau = id, and delta_1 + (1 - 1e-7) delta_5 on Z6
-with the inverse involution) times validate, chars, solve x3, solve
+with the inverse involution, and 2 measures on the non-commutative S3xZ3
+with the inverse involution, which moves their central atoms: delta_(e,1)
+and delta_(e,1) - delta_(e,2)) times validate, chars, solve x3, solve
 --oracle --seed 0 x3, verify-theorems --seed 0 and solve kannappan
 --include-zero.  Each request's exit code and
 stdout go to OUTDIR/<spec>.<request>.txt, the exit code on the first line.
@@ -59,6 +61,7 @@ CLOSE_ROOTS = (  # (order of the cyclic group, involution, atoms)
     (12, "id", [(4, 1.0), (6, -(1 - 5e-5))]),
     (6, "inv", [(1, 1.0), (5, 1 - 1e-7)]),
 )
+MOVED_ATOMS = ([(1, 1.0)], [(1, 1.0), (2, -1.0)])  # on S3xZ3, where (e, j) is j
 
 
 def atoms_name(atoms) -> str:
@@ -66,7 +69,7 @@ def atoms_name(atoms) -> str:
 
 
 def specs() -> dict[str, dict]:
-    """The 97 spec files' contents, keyed by a file-name-safe name."""
+    """The 99 spec files' contents, keyed by a file-name-safe name."""
     import feqlab as fl
     from conftest import build_grid, ladder_instances
 
@@ -85,6 +88,11 @@ def specs() -> dict[str, dict]:
         involution = {"id": fl.identity_involution, "inv": fl.inverse_involution}[tau](sg)
         mu = fl.central_measure(sg, atoms)
         instances[f"near/Z{n}/{tau}/{atoms_name(atoms)}"] = fl.Instance(sg=sg, tau=involution, mu=mu)
+    s3z3 = fl.direct_product(fl.symmetric_group_3(), fl.cyclic_group(3))
+    for atoms in MOVED_ATOMS:
+        mu = fl.central_measure(s3z3, atoms)
+        instances[f"moved/S3xZ3/inv/{atoms_name(atoms)}"] = fl.Instance(
+            sg=s3z3, tau=fl.inverse_involution(s3z3), mu=mu)
     out = {}
     for name, inst in instances.items():
         out[re.sub(r"[^A-Za-z0-9+^=-]", "_", name)] = {

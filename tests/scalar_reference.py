@@ -480,7 +480,7 @@ def verify_instance_loop(
             continue
         if not consistent:
             worst = max(conds.deviations[0].tolist())
-            fail("integral_conditions_equivalence", worst, "dalembert", i)
+            fail("integral_conditions_equivalence", worst, sol.provenance, i)
             continue
         if conds.admissible[0]:
             f = dalembert_to_kannappan(g, inst)
@@ -488,11 +488,11 @@ def verify_instance_loop(
             try:
                 back = max_abs_diff(kannappan_to_dalembert(f, inst), g)
             except fl.ZeroDenominator:
-                fail("nonzero_mass", 0.0, "dalembert", i)
+                fail("nonzero_mass", 0.0, sol.provenance, i)
                 continue
             roundtrip_fwd = max(roundtrip_fwd, back)
             if f_res.max_abs > mu.tolerance(RESIDUAL_TOL, 2) or back > RESIDUAL_TOL:
-                fail("bijection_forward", max(f_res.max_abs, back), "dalembert", i, f_res.argmax)
+                fail("bijection_forward", max(f_res.max_abs, back), sol.provenance, i, f_res.argmax)
 
     return fl.VerifyReport(
         van_vleck_suites=vv_entries,

@@ -27,7 +27,7 @@ def multiplicativity_table(sg):
 def equation_table(kind, inst):
     """The linear part on the unit vectors, scaled as the oracle scales it."""
     n = inst.sg.order
-    L = fl.linear_part(kind, np.eye(n, dtype=np.complex128), inst.sg, inst.tau, inst.mu)
+    L = fl.linear_part(kind, np.eye(n, dtype=np.complex128), inst)
     return L / inst.mu.tolerance(1.0, SOLUTION_DEGREE[kind])
 
 

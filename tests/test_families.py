@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import feqlab as fl
-from feqlab.families import SuiteReport, _failed, dalembert_integral_conditions
+from feqlab.families import (
+    SuiteReport,
+    _failed,
+    dalembert_integral_conditions,
+    identity_suites,
+    integral_conditions,
+)
 
 from scalar_reference import (
     associated_dalembert,
@@ -13,6 +19,7 @@ from scalar_reference import (
     double_integral,
     is_abelian_function,
     max_abs_diff,
+    pushforward_tau,
     residual,
     right_integral,
     van_vleck_family_dirac,
@@ -467,3 +474,45 @@ class TestGathersMatchScalarReference:
                 g, report = associated_dalembert(f, inst)
                 want = double_integral(inst.sg, g, inst.mu)
                 assert abs(report.double_mass - want) <= GATHER_TOL, case.name
+
+    # inverse involution, atoms at the central points (e, 1) and (e, 2),
+    # which tau moves to (e, -1) and (e, -2); S3xZ3 is not commutative
+    @pytest.mark.parametrize("group", ["S3xZ3", "Z4xZ6"])
+    @pytest.mark.parametrize("atoms", [[(1, 1 + 2j), (0, 0.5)], [(1, 1.0), (2, -1.0)]],
+                             ids=["(1+2j)d(e,1)+0.5d(e)", "d(e,1)-d(e,2)"])
+    def test_random_stacks_with_atoms_tau_moves(self, group, atoms):
+        left, right = {"S3xZ3": (fl.symmetric_group_3(), 3), "Z4xZ6": (fl.cyclic_group(4), 6)}[group]
+        sg = fl.direct_product(left, fl.cyclic_group(right))
+        tau = fl.inverse_involution(sg)
+        inst = make_inst(sg, tau, atoms)
+        mu = inst.mu
+        assert not fl.is_tau_invariant(mu, tau)
+        rng = np.random.default_rng(25)
+        F = rng.normal(size=(4, sg.order)) + 1j * rng.normal(size=(4, sg.order))
+        van_vleck = identity_suites("van_vleck", F, inst)
+        kannappan = identity_suites("kannappan", F, inst)
+        conds = integral_conditions(F, inst)
+        xs = range(sg.order)
+        tau_mu = pushforward_tau(sg, mu, tau)  # int h(x tau(t)) dmu = int h(x t) d(tau mu)
+        for i, f in enumerate(F):
+            mass = sum(w * f[z] for z, w in mu.atoms())
+            r = [right_integral(sg, f, mu, x) for x in xs]
+            want_vv = scalar_sandwich_residuals(f, inst, -1)
+            want_vv.update(
+                odd_part=max(abs(f[x] + f[tau(x)]) for x in xs),
+                double_mass_plain=abs(double_integral(sg, f, mu)),
+                double_mass_tau=abs(double_integral(sg, f, mu, "left_tau", tau=tau)),
+                shift_symmetry=max(abs(r[tau(x)] - r[x]) for x in xs),
+            )
+            want_kan = scalar_sandwich_residuals(f, inst, 1)
+            want_kan["even_part"] = max(abs(f[x] - f[tau(x)]) for x in xs)
+            want_conds = [
+                max(abs(r[x] - right_integral(sg, f, tau_mu, x)) for x in xs),
+                max(abs(r[x] - f[x] * mass) for x in xs),
+                abs(double_integral(sg, f, mu) - mass * mass),
+            ]
+            for suite, want in ((van_vleck, want_vv), (kannappan, want_kan)):
+                assert sorted(suite.names) == sorted(want)
+                for name, got in zip(suite.names, suite.deviations[i]):
+                    assert abs(got - want[name]) <= GATHER_TOL, (i, name)
+            assert np.abs(conds.deviations[i] - want_conds).max() <= GATHER_TOL, i

@@ -152,8 +152,8 @@ class TestEquationMatrix:
     def test_bit_identical_to_add_at_reference_on_grid(self, grid, kind):
         # the solver's table is the linear part on the unit vectors
         for case in grid:
-            sg, n = case.inst.sg, case.inst.sg.order
-            L = fl.linear_part(kind, np.eye(n, dtype=np.complex128), sg, case.inst.tau, case.inst.mu)
+            n = case.inst.sg.order
+            L = fl.linear_part(kind, np.eye(n, dtype=np.complex128), case.inst)
             got = L.reshape(n, n * n).T
             assert np.array_equal(got, equation_matrix_add_at(kind, case.inst)), case.name
 

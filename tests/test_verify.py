@@ -306,13 +306,16 @@ def forge_conditions(monkeypatch, target, **fields):
                         lambda g, inst: forged(np.asarray(g)[None], inst))
 
 
+ROUTES = ("constructed", "oracle")  # the provenance of the two rows dalembert_rows finds
+
+
 def dalembert_rows(inst, target) -> tuple[np.ndarray, list[int]]:
     """The d'Alembert solutions verify_instance checks, and the indices of
-    the rows equal to target."""
-    D = np.concatenate([verify.family_stack("dalembert", inst),
-                        fl.oracle_solve("dalembert", inst).values])
+    the rows equal to target, the constructed copy first."""
+    built = verify.family_stack("dalembert", inst)
+    D = np.concatenate([built, fl.oracle_solve("dalembert", inst).values])
     rows = np.flatnonzero(rows_of(D, target)).tolist()
-    assert len(rows) == 2  # the constructed copy and the oracle's
+    assert len(rows) == 2 and rows[0] < len(built) <= rows[1]  # the constructed copy and the oracle's
     return D, rows
 
 
@@ -325,8 +328,8 @@ def test_inconsistent_conditions_are_reported(monkeypatch):
     got = fl.verify_instance(Z4_D1)
     assert got.failures == [
         {"argmax": [], "identity": "integral_conditions_equivalence", "max_abs": 0.5,
-         "provenance": "dalembert", "solution_index": i}
-        for i in rows
+         "provenance": prov, "solution_index": i}
+        for i, prov in zip(rows, ROUTES)
     ]
     assert [got.dalembert_conditions[i]["consistent"] for i in rows] == [False, False]
     assert_same_report(got, verify_instance_loop(Z4_D1), Z4_D1.mu)
@@ -340,8 +343,8 @@ def test_admitted_member_of_zero_mass_is_reported(monkeypatch):
     got = fl.verify_instance(Z4_D1)
     assert got.failures == [
         {"argmax": [], "identity": "nonzero_mass", "max_abs": 0.0,
-         "provenance": "dalembert", "solution_index": i}
-        for i in rows
+         "provenance": prov, "solution_index": i}
+        for i, prov in zip(rows, ROUTES)
     ]
     assert_same_report(got, verify_instance_loop(Z4_D1), Z4_D1.mu)
 
@@ -359,7 +362,7 @@ def test_admitted_member_whose_image_fails_is_reported(monkeypatch):
     got = fl.verify_instance(inst)
     assert got.failures == [
         {"argmax": at.tolist(), "identity": "bijection_forward", "max_abs": max(res, b),
-         "provenance": "dalembert", "solution_index": i}
-        for i, res, at, b in zip(rows, f_res, f_at, back)
+         "provenance": prov, "solution_index": i}
+        for i, prov, res, at, b in zip(rows, ROUTES, f_res, f_at, back)
     ]
     assert_same_report(got, verify_instance_loop(inst), inst.mu)
