@@ -13,7 +13,8 @@ passes, so the values are exact and independent of the element labels.
 A set of m functions is an (m, n) stack, and the steps after the solvers
 take it whole: canonical_order sorts it with one lexsort, dedup_canonical
 compares all pairs through one distance matrix, built in row blocks, and
-the enumeration scans every root with one gather.
+the enumeration scans every root with one gather and drops its exact
+copies by comparing each row with the one before it in canonical order.
 """
 from __future__ import annotations
 
@@ -85,10 +86,11 @@ def enumerate_multiplicative(sg: FiniteSemigroup) -> np.ndarray:
     oracle's for two small members of a near-cancelling measure), the roots
     of every draw are pooled.  The roots passed the ROOT_TOL residual, so
     each value lies near its closed-form snap, and one gather checks every
-    pair of every snapped root.  dedup_canonical at MULT_TOL drops the zero
-    function and keeps one of each run of exact copies: distinct functions
-    differ by at least 2 sin(pi / p) in some value, so the order, rounded at
-    1e-8, never ties them.
+    pair of every snapped root.  The snap writes equal values with equal
+    bits, and distinct functions differ by at least 2 sin(pi / p) in some
+    value, so the canonical order, rounded at 1e-8, never ties them and puts
+    the copies of each function side by side: a row is dropped when it equals
+    the one before it, or when it is the zero function.
     """
     L = (sg.cayley == np.arange(sg.order)[:, None, None]) * 2  # 2 chi(x) chi(y) = 2 chi(xy)
     roots, _, _ = closed_system_roots(L, ROOT_TOL, draws=DRAWS)
@@ -97,6 +99,9 @@ def enumerate_multiplicative(sg: FiniteSemigroup) -> np.ndarray:
     S = np.where(np.abs(roots) < 0.5, 0j, np.exp(2j * np.pi * k / period))
     deviation = np.abs(S[:, sg.cayley] - S[:, :, None] * S[:, None, :]).max(axis=(1, 2))
     S = S[deviation <= MULT_TOL]
-    S = S[dedup_canonical(S, MULT_TOL)]
+    S = S[canonical_order(S)]
+    fresh = np.ones(len(S), dtype=bool)
+    fresh[1:] = (S[1:] != S[:-1]).any(axis=1)
+    S = S[fresh & (S != 0).any(axis=1)]
     S.setflags(write=False)
     return S

@@ -9,10 +9,14 @@ Reports are written by _render, one pass over the report, with the bytes of
 json.dumps(report, indent=2, sort_keys=True).  It exists because on Python
 3.11 json's C encoder does not indent: with indent set, json falls back to
 its pure-Python encoder, which visits every value and calls a Python hook
-for every complex number.  _render writes each array of complex values with
-one comprehension instead, each string (dict keys included) with the
-function json.dumps calls for it, and ints, booleans and None itself.  The
-option parser is built once per process, on the first call of main.
+for every complex number.  _render writes a SolutionReport as its list of
+members from the whole (m, n) stack: one finiteness check and one np.unique
+over the bits of all values, each distinct float among them formatted
+once, and each member's values joined with str.join (a non-finite stack
+takes the generic path).  It writes each other array of complex values with one comprehension,
+each string (dict keys included) with the function json.dumps calls for it,
+and ints, booleans and None itself.  The option parser is built once per
+process, on the first call of main.
 """
 from __future__ import annotations
 
@@ -67,16 +71,47 @@ def _complex(re: float, im: float, pad: str) -> str:
     return f'{{\n{inner}"im": {_float(im)},\n{inner}"re": {_float(re)}\n{pad}}}'
 
 
+def _members(report: SolutionReport, pad: str) -> str:
+    """report as json.dumps writes its list of members (_members_json) at
+    indentation pad, from the whole (m, n) stack.  np.unique of the bits of
+    all 2mn parts finds the distinct floats (0.0 and -0.0 apart), each is
+    formatted once, and each row is one str.join of those strings and the
+    fixed text between them.  An empty or non-finite stack takes the generic
+    path."""
+    F, res = report.values, report.residuals
+    if not F.size or not (np.isfinite(F).all() and np.isfinite(res).all()):
+        return _render(_members_json(report), pad)
+    m, n = F.shape
+    i2, i4, i6, i8 = (pad + " " * k for k in (2, 4, 6, 8))
+    bits = np.ascontiguousarray(F, dtype=np.complex128).view(np.int64)  # (re, im) pairs
+    distinct, which = np.unique(bits, return_inverse=True)
+    text = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    which = which.reshape(m, n, 2)
+    pieces = np.empty((m, n, 4), dtype=object)  # per value: text before "im", im, text, re
+    pieces[:, :, 0] = f'\n{i6}}},\n{i6}{{\n{i8}"im": '
+    pieces[:, 0, 0] = f'{{\n{i8}"im": '
+    pieces[:, :, 1] = text[which[:, :, 1]]
+    pieces[:, :, 2] = f',\n{i8}"re": '
+    pieces[:, :, 3] = text[which[:, :, 0]]
+    head = f'{{\n{i4}"provenance": {_quote(report.provenance)},\n{i4}"residual": '
+    items = [f'{head}{float.__repr__(r)},\n{i4}"values": [\n{i6}{"".join(row)}\n{i6}}}\n{i4}]\n{i2}}}'
+             for r, row in zip(res.tolist(), pieces.reshape(m, 4 * n).tolist())]
+    return "[\n" + i2 + (",\n" + i2).join(items) + "\n" + pad + "]"
+
+
 def _render(obj, pad: str) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it at
-    indentation pad, with complex numbers as {"im", "re"} objects and 1-d
-    arrays as lists of them.  Dict keys are strings."""
+    indentation pad, with complex numbers as {"im", "re"} objects, 1-d
+    arrays as lists of them and a SolutionReport as its list of members.
+    Dict keys are strings."""
     if isinstance(obj, float):
         return _float(obj)
     if type(obj) is int:
         return int.__repr__(obj)
     if obj is True or obj is False or obj is None:
         return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, SolutionReport):
+        return _members(obj, pad)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -251,7 +286,7 @@ def cmd_solve(args) -> int:
     out = {
         "equation": kind,
         "order": inst.sg.order,
-        "solutions": _members_json(constructed),
+        "solutions": constructed,
     }
     exit_code = EXIT_OK
     if args.oracle:
@@ -262,7 +297,7 @@ def cmd_solve(args) -> int:
         out["oracle"] = {
             "restarts": cfg.restarts,
             "seed": cfg.rng_seed,
-            "solutions": _members_json(found),
+            "solutions": found,
         }
         out["match"] = {
             "pairs": result.pairs,
@@ -273,13 +308,13 @@ def cmd_solve(args) -> int:
         if not result.is_match:
             exit_code = EXIT_MISMATCH
     if args.include_zero:
-        out["solutions"].append(
+        out["solutions"] = _members_json(constructed) + [
             {
                 "provenance": "appended_zero",
                 "residual": 0.0,
                 "values": np.zeros(inst.sg.order, dtype=complex),
             }
-        )
+        ]
     _emit(out)
     return exit_code
 

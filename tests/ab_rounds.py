@@ -13,8 +13,8 @@ A B B A A B ..., and every response is checked by perfbench/checks.py.
 It prints the p50, p90 (nearest rank, as perfbench/run.py) and mean latency
 of each side, the relative change of B against A, the number of request
 shapes whose stdout is byte-identical on both sides, each request shape's
-median latency on both sides with its relative change, slowest shape of A
-first, and any failed check.
+median latency on both sides with its relative change and the size of its
+stdout in bytes (on side A), slowest shape of A first, and any failed check.
 It exits 1 when a check fails.  This is for sizing a change only: a claimed
 gain comes from perfbench/run.py, run as a separate process per checkout.
 Pytest does not collect this file.
@@ -106,11 +106,11 @@ def main(argv=None) -> int:
     print(f"B against A: {change}")
     print(f"{same} of {len(workload.round)} shapes byte-identical on stdout")
     medians = {side: [statistics.median(lat) for lat in shapes] for side, shapes in per_shape.items()}
-    print("per shape, median ms: A  B  B against A")
+    print("per shape, median ms: A  B  B against A, stdout bytes of A")
     for i in sorted(range(len(workload.round)), key=lambda i: -medians["A"][i]):
         a, b = medians["A"][i], medians["B"][i]
-        print(f"  {a * 1e3:8.3f} {b * 1e3:8.3f} {(b / a - 1) * 100:+6.1f}%  "
-              f"{workload.round[i].label(workload.specs)}")
+        print(f"  {a * 1e3:8.3f} {b * 1e3:8.3f} {(b / a - 1) * 100:+6.1f}% "
+              f"{len(stdout['A'][i].encode()):7d}  {workload.round[i].label(workload.specs)}")
     for line in failed[:20]:
         print(f"FAILED {line}")
     return 1 if failed else 0

@@ -328,7 +328,11 @@ def match_solution_sets_loop(a, b, eps: float) -> MatchResult:
 
 
 def _json_default(o):
-    """Complex numbers as {"im", "re"} objects, arrays as lists of them."""
+    """Complex numbers as {"im", "re"} objects, arrays as lists of them and a
+    solution report as the list of its member dicts."""
+    if isinstance(o, fl.SolutionReport):
+        return [{"provenance": o.provenance, "residual": float(r), "values": f}
+                for f, r in zip(o.values, o.residuals)]
     if isinstance(o, np.ndarray):
         return [complex(v) for v in o]
     if isinstance(o, complex):

@@ -49,6 +49,16 @@ def spec_of(inst: fl.Instance) -> dict:
 
 
 CASES = {case.name: case.inst for case in build_grid()} | ladder_instances()
+LADDER_COMMANDS = {  # the solve commands the ladder-oracle benchmark runs with --oracle
+    "Z8/d2": ("vanvleck", "kannappan"),
+    "Z3xZ3/de": ("kannappan", "dalembert"),
+    "S3xZ2/de": ("kannappan", "dalembert"),
+    "Z2xZ6/d0+2d3": ("kannappan", "dalembert"),
+    "Z13/d1": ("kannappan", "dalembert"),
+    "Z2^4/de": ("kannappan", "dalembert"),
+    "Z4xZ4/d(1,0)": ("kannappan",),
+    "Z4xZ4/w": ("dalembert",),
+}
 
 
 def run(capsys, *argv):
@@ -419,6 +429,17 @@ class TestDeterminism:
     def test_json_is_key_sorted(self, tmp_path, capsys, argv):
         path = write_spec(tmp_path, measure=[{"point": 1, "re": 1.0, "im": -0.5}])
         _, out = run(capsys, *(path if a == "SPEC" else a for a in argv))
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [(name, command) for name, commands in LADDER_COMMANDS.items() for command in commands],
+    )
+    def test_ladder_reports_are_json_dumps(self, tmp_path, capsys, name, command):
+        # the ladder's oracle requests, whose reports run to 45 KB
+        path = write_spec(tmp_path, **spec_of(ladder_instances()[name]))
+        code, out = run(capsys, "solve", command, path, "--oracle", "--seed", "0")
+        assert code == 0
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 

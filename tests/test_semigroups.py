@@ -212,13 +212,17 @@ class TestOrbit:
             fl.cyclic_group(1),
             fl.cyclic_group(12),
             fl.cyclic_group(13),
+            fl.cyclic_group(127),
             fl.direct_product(fl.cyclic_group(4), fl.cyclic_group(4)),
             fl.cyclic_semigroup(3, 4),
             fl.cyclic_semigroup(5, 1),
+            fl.cyclic_semigroup(7, 5),
+            fl.cyclic_semigroup(12, 1),
             fl.left_zero(3),
             nilpotent_monoid(4),
         ],
-        ids=["Z1", "Z12", "Z13", "Z4xZ4", "C(3,4)", "C(5,1)", "left_zero(3)", "nil(4)"],
+        ids=["Z1", "Z12", "Z13", "Z127", "Z4xZ4", "C(3,4)", "C(5,1)", "C(7,5)", "C(12,1)",
+             "left_zero(3)", "nil(4)"],
     )
     def test_table_is_orbit_of_every_element(self, sg):
         assert_table_is_orbits(sg)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feqlab as fl
-from feqlab import cli
+from feqlab import characters, cli
 from feqlab.characters import canonical_order, dedup_canonical
 from feqlab.equations import SOLUTION_DEGREE
 from feqlab.families import DEDUP_EPS
@@ -161,7 +161,7 @@ def test_reports_hold_one_read_only_stack(grid, oracle_cache, kind):
                 assert sol.provenance == rep.provenance
 
 
-def test_enumerate_matches_loop():
+def enumeration_zoo() -> dict[str, fl.FiniteSemigroup]:
     zoo = dict(corpus_semigroups())
     zoo["nilpotent12"] = nilpotent_monoid(12)  # 9 roots snap to 3 functions
     zoo["left_zero3"] = fl.left_zero(3)
@@ -170,10 +170,36 @@ def test_enumerate_matches_loop():
         fl.direct_product(fl.cyclic_group(2), fl.cyclic_group(2)),
         fl.direct_product(fl.cyclic_group(2), fl.cyclic_group(2)),
     )
-    for name, sg in zoo.items():
+    return zoo
+
+
+def test_enumerate_matches_loop():
+    for name, sg in enumeration_zoo().items():
         got = fl.enumerate_multiplicative(sg)
         assert_same_rows(got, enumerate_multiplicative_loop(sg))
         assert not got.flags.writeable, name
+
+
+def test_enumerate_drops_pooled_copies_and_zero_rows(monkeypatch):
+    """Pooled uncertified draws repeat roots and the zero root; the
+    enumeration must return the same stack, bit for bit, as from one
+    certified draw."""
+    zoo = enumeration_zoo()
+    want = {name: fl.enumerate_multiplicative(sg) for name, sg in zoo.items()}
+    real = characters.closed_system_roots
+
+    def pooled(L, tol, seed=0, draws=1):
+        roots, res, _ = real(L, tol, seed, draws)
+        zero = np.zeros((2, roots.shape[1]), dtype=roots.dtype)
+        pool = np.concatenate([roots, zero, roots[::-1], zero])
+        shuffle = np.random.default_rng(len(pool)).permutation(len(pool))
+        return pool[shuffle], np.concatenate([res, [0.0, 0.0], res[::-1], [0.0, 0.0]])[shuffle], False
+
+    monkeypatch.setattr(characters, "closed_system_roots", pooled)
+    for name, sg in zoo.items():
+        got = fl.enumerate_multiplicative(sg)
+        assert got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +226,43 @@ reports = st.recursive(
 )
 
 
+# parts that repeat, signed zeros, subnormals and 17-digit values
+PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -2.2250738585072e-308, 0.1 + 0.2, 1 / 3,
+         -0.7071067811865476, 1e16, 1.2345678901234567e-300]
+
+
+@st.composite
+def member_stacks(draw) -> fl.SolutionReport:
+    """A solution report on up to 4 points with up to 4 members, its parts
+    drawn mostly from PARTS, now and then NaN or infinite."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    part = st.sampled_from(PARTS) | st.floats()
+    re = draw(st.lists(part, min_size=m * n, max_size=m * n))
+    im = draw(st.lists(part, min_size=m * n, max_size=m * n))
+    F = np.empty((m, n), dtype=np.complex128)
+    F.real, F.imag = np.reshape(re, (m, n)), np.reshape(im, (m, n))
+    F.setflags(write=False)
+    res = np.array(draw(st.lists(st.floats(min_value=0.0) | st.sampled_from(PARTS),
+                                 min_size=m, max_size=m)), dtype=np.float64).reshape(m)
+    return fl.SolutionReport("kannappan", F, res, draw(st.sampled_from(["constructed", "oracle"])))
+
+
+def stack_report(values, residuals=None) -> fl.SolutionReport:
+    F = np.array(values, dtype=np.complex128)
+    F.setflags(write=False)
+    res = np.zeros(len(F)) if residuals is None else np.array(residuals, dtype=np.float64)
+    return fl.SolutionReport("van_vleck", F, res, "oracle")
+
+
+def signed_zeros() -> np.ndarray:
+    F = np.zeros((3, 2), dtype=np.complex128)
+    F.real = [[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0]]
+    F.imag = [[-0.0, 0.0], [-0.0, -0.0], [0.0, 1.0]]
+    return F
+
+
 @settings(max_examples=300, deadline=None)
-@given(obj=reports)
+@given(obj=reports | member_stacks() | st.dictionaries(st.text(), member_stacks(), max_size=2))
 def test_writer_equals_json_dumps(obj):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -220,8 +281,18 @@ def test_writer_equals_json_dumps(obj):
         [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300, 0.1],
         complex(float("nan"), -0.0),
         np.array([1 + 2j, -0.0 - 0.0j, complex(float("inf"), 1)]),
+        stack_report([[1, -1, 1j, -1j]] * 3, [1e-16, 1e-16, 0.0]),
+        stack_report(signed_zeros(), [0.0, -0.0, 0.0]),
+        stack_report([[5e-324, 0.1 + 0.2], [1 / 3, -2.2250738585072e-308]], [5e-324, 1 / 3]),
+        stack_report(np.zeros((0, 4))),
+        stack_report([[1, float("nan")], [1, 1]]),
+        stack_report([[1, 1j], [complex(1, float("-inf")), 1]]),
+        stack_report([[1, 1j], [-1, -1j]], [0.0, float("inf")]),
+        {"oracle": {"solutions": stack_report([[0.5, -0.5]])}, "solutions": stack_report([[1, 1]])},
     ],
-    ids=["dict", "list", "tuple", "empty-containers", "scalars", "floats", "complex", "array"],
+    ids=["dict", "list", "tuple", "empty-containers", "scalars", "floats", "complex", "array",
+         "stack-repeats", "stack-signed-zeros", "stack-subnormal-17-digit", "stack-empty",
+         "stack-nan", "stack-inf", "stack-inf-residual", "stacks-nested"],
 )
 def test_writer_edge_cases(obj):
     buf = io.StringIO()
