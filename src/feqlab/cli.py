@@ -10,12 +10,12 @@ json.dumps(report, indent=2, sort_keys=True).  It exists because on Python
 3.11 json's C encoder does not indent: with indent set, json falls back to
 its pure-Python encoder, which visits every value and calls a Python hook
 for every complex number.  _render writes a SolutionReport as its list of
-members from the whole (m, n) stack: one finiteness check and one np.unique
-over the bits of all values, each distinct float among them formatted
-once, and each member's values joined with str.join (a non-finite stack
-takes the generic path).  It writes each other array of complex values with one comprehension,
-each string (dict keys included) with the function json.dumps calls for it,
-and ints, booleans and None itself.  The option parser is built once per
+members from the whole (m, n) stack: one np.unique over the bits of all
+values, each distinct float among them formatted once (NaN and infinities
+as json.dumps writes them), and each member's values joined with str.join.
+It writes each other array of complex values with one comprehension, each
+string (dict keys included) with the function json.dumps calls for it, and
+ints, booleans and None itself.  The option parser is built once per
 process, on the first call of main.
 """
 from __future__ import annotations
@@ -66,35 +66,44 @@ def _float(v: float) -> str:
     return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
 
 
-def _complex(re: float, im: float, pad: str) -> str:
+@functools.lru_cache(maxsize=None)
+def _complex_text(pad: str) -> tuple[str, str, str]:
+    """The text json.dumps writes before the im part, between the parts and
+    after the re part of a complex value, as {"im", "re"}, at indentation pad."""
     inner = pad + "  "
-    return f'{{\n{inner}"im": {_float(im)},\n{inner}"re": {_float(re)}\n{pad}}}'
+    return f'{{\n{inner}"im": ', f',\n{inner}"re": ', f'\n{pad}}}'
+
+
+def _complex(re: float, im: float, pad: str) -> str:
+    before, between, after = _complex_text(pad)
+    return f"{before}{_float(im)}{between}{_float(re)}{after}"
 
 
 def _members(report: SolutionReport, pad: str) -> str:
     """report as json.dumps writes its list of members (_members_json) at
     indentation pad, from the whole (m, n) stack.  np.unique of the bits of
     all 2mn parts finds the distinct floats (0.0 and -0.0 apart), each is
-    formatted once, and each row is one str.join of those strings and the
-    fixed text between them.  An empty or non-finite stack takes the generic
+    formatted once by _float, and each row is one str.join of those strings
+    and the _complex_text between them.  An empty stack takes the generic
     path."""
     F, res = report.values, report.residuals
-    if not F.size or not (np.isfinite(F).all() and np.isfinite(res).all()):
+    if not F.size:
         return _render(_members_json(report), pad)
     m, n = F.shape
-    i2, i4, i6, i8 = (pad + " " * k for k in (2, 4, 6, 8))
+    i2, i4, i6 = (pad + " " * k for k in (2, 4, 6))
+    before, between, after = _complex_text(i6)
     bits = np.ascontiguousarray(F, dtype=np.complex128).view(np.int64)  # (re, im) pairs
     distinct, which = np.unique(bits, return_inverse=True)
-    text = np.array([float.__repr__(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    text = np.array([_float(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     which = which.reshape(m, n, 2)
-    pieces = np.empty((m, n, 4), dtype=object)  # per value: text before "im", im, text, re
-    pieces[:, :, 0] = f'\n{i6}}},\n{i6}{{\n{i8}"im": '
-    pieces[:, 0, 0] = f'{{\n{i8}"im": '
+    pieces = np.empty((m, n, 4), dtype=object)  # per value: text before im, im, between, re
+    pieces[:, :, 0] = f"{after},\n{i6}{before}"
+    pieces[:, 0, 0] = before
     pieces[:, :, 1] = text[which[:, :, 1]]
-    pieces[:, :, 2] = f',\n{i8}"re": '
+    pieces[:, :, 2] = between
     pieces[:, :, 3] = text[which[:, :, 0]]
     head = f'{{\n{i4}"provenance": {_quote(report.provenance)},\n{i4}"residual": '
-    items = [f'{head}{float.__repr__(r)},\n{i4}"values": [\n{i6}{"".join(row)}\n{i6}}}\n{i4}]\n{i2}}}'
+    items = [f'{head}{_float(r)},\n{i4}"values": [\n{i6}{"".join(row)}{after}\n{i4}]\n{i2}}}'
              for r, row in zip(res.tolist(), pieces.reshape(m, 4 * n).tolist())]
     return "[\n" + i2 + (",\n" + i2).join(items) + "\n" + pad + "]"
 
@@ -235,6 +244,7 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
 
 
 def _members_json(report: SolutionReport) -> list[dict]:
+    # _members writes this list from the stack: it spells out the same keys
     return [{"provenance": report.provenance, "residual": r, "values": f}
             for f, r in zip(report.values, report.residuals.tolist())]
 

@@ -102,19 +102,15 @@ def center(sg: FiniteSemigroup) -> tuple[int, ...]:
 
 
 def orbit_table(sg: FiniteSemigroup) -> tuple[np.ndarray, np.ndarray]:
-    """(index, period) of every x as two arrays, from the powers x^k, k <= 2n,
-    built by doubling: x^(k+j) = x^k x^j for j <= k, so about log2(2n)
-    gathers.  index + period <= n + 1, so x^n is on the cycle: the period is
-    the least p with x^(n+p) = x^n, the index the least i with x^(i+p) = x^i."""
+    """(index, period) of every x as two arrays, from one walk of x^k, k <= 2n.
+    index + period <= n + 1, so x^n is on the cycle: the period is the least
+    p with x^(n+p) = x^n, the index the least i with x^(i+p) = x^i."""
     n = sg.order
     x = np.arange(n)
     powers = np.empty((2 * n + 1, n), dtype=np.int64)  # powers[k] = x^k, k >= 1
     powers[1] = x
-    k = 1
-    while k < 2 * n:
-        j = min(k, 2 * n - k)
-        powers[k + 1:k + j + 1] = sg.cayley[powers[k], powers[1:j + 1]]
-        k += j
+    for k in range(2, 2 * n + 1):
+        powers[k] = sg.cayley[powers[k - 1], x]
     period = (powers[n + 1:] == powers[n]).argmax(axis=0) + 1
     i = np.arange(1, n + 1)[:, None]
     index = (powers[i + period, x] == powers[1:n + 1]).argmax(axis=0) + 1

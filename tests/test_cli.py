@@ -17,6 +17,9 @@ from feqlab.families import SolutionReport
 from conftest import build_grid, ladder_instances
 from scalar_reference import character_integral_loop
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
 
 def write_spec(tmp_path, name="inst.json", **overrides):
     spec = {
@@ -49,16 +52,10 @@ def spec_of(inst: fl.Instance) -> dict:
 
 
 CASES = {case.name: case.inst for case in build_grid()} | ladder_instances()
-LADDER_COMMANDS = {  # the solve commands the ladder-oracle benchmark runs with --oracle
-    "Z8/d2": ("vanvleck", "kannappan"),
-    "Z3xZ3/de": ("kannappan", "dalembert"),
-    "S3xZ2/de": ("kannappan", "dalembert"),
-    "Z2xZ6/d0+2d3": ("kannappan", "dalembert"),
-    "Z13/d1": ("kannappan", "dalembert"),
-    "Z2^4/de": ("kannappan", "dalembert"),
-    "Z4xZ4/d(1,0)": ("kannappan",),
-    "Z4xZ4/w": ("dalembert",),
-}
+LADDER = workloads.ladder_oracle(0)
+LADDER_COMMANDS = sorted(  # (instance, command) of each solve --oracle request of the ladder benchmark
+    {(LADDER.specs[r.spec].name, r.kind) for r in LADDER.round if r.command == "solve" and r.oracle}
+)
 
 
 def run(capsys, *argv):
@@ -431,10 +428,7 @@ class TestDeterminism:
         _, out = run(capsys, *(path if a == "SPEC" else a for a in argv))
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
-    @pytest.mark.parametrize(
-        "name, command",
-        [(name, command) for name, commands in LADDER_COMMANDS.items() for command in commands],
-    )
+    @pytest.mark.parametrize("name, command", LADDER_COMMANDS)
     def test_ladder_reports_are_json_dumps(self, tmp_path, capsys, name, command):
         # the ladder's oracle requests, whose reports run to 45 KB
         path = write_spec(tmp_path, **spec_of(ladder_instances()[name]))
