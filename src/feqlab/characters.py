@@ -30,21 +30,16 @@ DRAWS = 8            # combinations drawn at most while the certificate fails
 DISTANCE_BLOCK = 2**20  # complex differences max_abs_distances holds at once
 
 
-def _rounded_parts(F, scale: float) -> np.ndarray:
-    """(Re, Im) of F / scale, interleaved along the last axis as a float64 view
-    of C-ordered F lays them, rounded at 1e-8; + 0.0 folds -0.0 into 0.0."""
-    parts = np.ascontiguousarray(F, dtype=np.complex128).view(np.float64) / scale
-    return np.round(parts, CANON_DECIMALS) + 0.0
-
-
 def canonical_order(F, scale: float = 1.0) -> np.ndarray:
     """Row indices of the (m, n) stack F in canonical order: a stable sort
     by the (Re, Im) parts of f / scale per index, rounded at 1e-8 and
     compared lexicographically, from one lexsort.  scale is the size of the
     solutions (a power of ||mu||), so the order does not depend on the size
-    of the measure."""
-    parts = _rounded_parts(F, scale)
-    return np.lexsort(parts.T[::-1])
+    of the measure.  The parts are a float64 view of C-ordered F, so Re and
+    Im of each value sit side by side along the last axis; + 0.0 folds -0.0
+    into 0.0."""
+    parts = np.ascontiguousarray(F, dtype=np.complex128).view(np.float64) / scale
+    return np.lexsort((np.round(parts, CANON_DECIMALS) + 0.0).T[::-1])
 
 
 def max_abs_distances(A, B) -> np.ndarray:

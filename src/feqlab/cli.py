@@ -5,6 +5,9 @@ completeness mismatch, 4 theorem-suite failure.  All reports are key-sorted
 JSON on stdout; two runs with the same seed produce byte-identical output.
 No option sets a tolerance: every threshold scales with ||mu||.
 
+main alone reads the spec and writes the report: it loads the spec once,
+passes (args, inst, labels) to the command and writes the report it returns.
+
 Reports are written by _render, one pass over the report, with the bytes of
 json.dumps(report, indent=2, sort_keys=True).  It exists because on Python
 3.11 json's C encoder does not indent: with indent set, json falls back to
@@ -30,7 +33,7 @@ import numpy as np
 
 from .equations import SOLUTION_DEGREE, Instance
 from .errors import InvariantViolation
-from .families import SolutionReport, character_integrals, family, integral_conditions
+from .families import Solution, SolutionReport, character_integrals, family, integral_conditions
 from .measures import central_measure, is_tau_invariant
 from .oracle import MATCH_EPS, OracleConfig, match_solution_sets, oracle_solve
 from .semigroups import center, orbit_table, validate_involution, validate_semigroup
@@ -84,11 +87,10 @@ def _members(report: SolutionReport, pad: str) -> str:
     indentation pad, from the whole (m, n) stack.  np.unique of the bits of
     all 2mn parts finds the distinct floats (0.0 and -0.0 apart), each is
     formatted once by _float, and each row is one str.join of those strings
-    and the _complex_text between them.  An empty stack takes the generic
-    path."""
+    and the _complex_text between them."""
     F, res = report.values, report.residuals
     if not F.size:
-        return _render(_members_json(report), pad)
+        return "[]"
     m, n = F.shape
     i2, i4, i6 = (pad + " " * k for k in (2, 4, 6))
     before, between, after = _complex_text(i6)
@@ -243,14 +245,7 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
     return Instance.of_validated(sg, tau, mu), labels
 
 
-def _members_json(report: SolutionReport) -> list[dict]:
-    # _members writes this list from the stack: it spells out the same keys
-    return [{"provenance": report.provenance, "residual": r, "values": f}
-            for f, r in zip(report.values, report.residuals.tolist())]
-
-
-def cmd_validate(args) -> int:
-    inst, labels = load_instance_file(args.spec_file)
+def cmd_validate(args, inst: Instance, labels) -> tuple[dict, int]:
     sg = inst.sg
     index, period = orbit_table(sg)
     summary = {
@@ -265,12 +260,10 @@ def cmd_validate(args) -> int:
     }
     if labels is not None:
         summary["labels"] = labels
-    _emit(summary)
-    return EXIT_OK
+    return summary, EXIT_OK
 
 
-def cmd_chars(args) -> int:
-    inst, _ = load_instance_file(args.spec_file)
+def cmd_chars(args, inst: Instance, labels) -> tuple[dict, int]:
     ci = character_integrals(inst)
     even = 0.5 * (ci.chars + ci.chars[:, inst.tau.perm])  # the d'Alembert solutions g
     kan, vv = integral_conditions(even, inst).admissible.tolist(), ci.admissible().tolist()
@@ -285,12 +278,10 @@ def cmd_chars(args) -> int:
         }
         for k, (chi, a, b) in enumerate(zip(ci.chars, ci.int_mu.tolist(), ci.int_mu_tau.tolist()))
     ]
-    _emit({"characters": entries, "count": len(entries), "order": inst.sg.order})
-    return EXIT_OK
+    return {"characters": entries, "count": len(entries), "order": inst.sg.order}, EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    inst, _ = load_instance_file(args.spec_file)
+def cmd_solve(args, inst: Instance, labels) -> tuple[dict, int]:
     kind = _KIND_BY_COMMAND[args.kind]
     constructed = family(kind, inst)
     out = {
@@ -317,20 +308,13 @@ def cmd_solve(args) -> int:
         }
         if not result.is_match:
             exit_code = EXIT_MISMATCH
-    if args.include_zero:
-        out["solutions"] = _members_json(constructed) + [
-            {
-                "provenance": "appended_zero",
-                "residual": 0.0,
-                "values": np.zeros(inst.sg.order, dtype=complex),
-            }
-        ]
-    _emit(out)
-    return exit_code
+    if args.include_zero:  # the members as dicts with the keys _members writes
+        zero = Solution(np.zeros(inst.sg.order, dtype=complex), 0.0, "appended_zero")
+        out["solutions"] = [vars(s) for s in (*constructed.solutions, zero)]
+    return out, exit_code
 
 
-def cmd_verify(args) -> int:
-    inst, _ = load_instance_file(args.spec_file)
+def cmd_verify(args, inst: Instance, labels) -> tuple[dict, int]:
     report = verify_instance(inst, OracleConfig(rng_seed=args.seed))
     out = {
         "dalembert_conditions": report.dalembert_conditions,
@@ -342,8 +326,7 @@ def cmd_verify(args) -> int:
     if report.failures:
         out["first_failure"] = report.failures[0]
         out["failures"] = report.failures
-    _emit(out)
-    return EXIT_OK if report.passed else EXIT_THEOREM
+    return out, EXIT_OK if report.passed else EXIT_THEOREM
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,10 +375,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        report, code = args.func(args, *load_instance_file(args.spec_file))
     except InvariantViolation as exc:
-        _emit({"error": {"invariant": exc.invariant, "message": str(exc)}})
-        return EXIT_VALIDATION
+        report, code = {"error": {"invariant": exc.invariant, "message": str(exc)}}, EXIT_VALIDATION
+    _emit(report)
+    return code
 
 
 if __name__ == "__main__":

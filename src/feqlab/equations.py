@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SupportNotCentral
 from .measures import CentralMeasure, cmul, right_integral_table
 from .semigroups import FiniteSemigroup, Involution, center, validate_involution
 
@@ -35,7 +36,7 @@ class Instance:
         central = set(center(self.sg))
         for z in self.mu.points:
             if int(z) not in central:
-                raise ValueError(f"measure point {int(z)} is not central")
+                raise SupportNotCentral(f"point {int(z)} is not central")
 
     @classmethod
     def of_validated(cls, sg: FiniteSemigroup, tau: Involution, mu: CentralMeasure) -> "Instance":
@@ -73,12 +74,6 @@ def linear_part(kind: str, F, inst: Instance) -> np.ndarray:
     return shifted - plain if kind == "van_vleck" else plain + shifted
 
 
-def _deviation(kind, F, inst: Instance) -> np.ndarray:
-    """linear_part minus 2 f(x) f(y), batched over the leading axes of F."""
-    F = np.asarray(F)
-    return linear_part(kind, F, inst) - 2 * cmul(F[..., :, None], F[..., None, :])
-
-
 def residuals(kind: str, F, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """Worst deviation of every row f of the (m, n) stack F from one
     equation over all (x, y), shape (m,), and the first (x, y) attaining it,
@@ -88,4 +83,5 @@ def residuals(kind: str, F, inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     kannappan: int f(x y t) + int f(x tau(y) t) = 2 f(x) f(y)
     dalembert: g(xy) + g(x tau(y)) = 2 g(x) g(y)   (mu is ignored)
     """
-    return _worst_rows(_deviation(kind, F, inst))
+    F = np.asarray(F)
+    return _worst_rows(linear_part(kind, F, inst) - 2 * cmul(F[..., :, None], F[..., None, :]))

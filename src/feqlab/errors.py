@@ -56,7 +56,6 @@ class EquivalenceViolation(FeqlabError):
     """
 
     def __init__(self, tau_shift: bool, proportionality: bool, double_mass: bool):
-        self.flags = (tau_shift, proportionality, double_mass)
         super().__init__(
             "integral conditions disagree: "
             f"tau_shift={tau_shift} proportionality={proportionality} "

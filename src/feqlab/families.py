@@ -29,7 +29,7 @@ from .characters import dedup_canonical, enumerate_multiplicative
 from .equations import SOLUTION_DEGREE, Instance, _worst_rows, residuals
 from .errors import EquivalenceViolation, ZeroDenominator
 from .measures import CentralMeasure, cmul, right_integral_table, total_mass_integral
-from .semigroups import FiniteSemigroup, Involution, validate_involution
+from .semigroups import FiniteSemigroup, Involution
 
 # Tolerances at ||mu|| = 1; a quantity of degree d in mu is compared with
 # mu.tolerance(TOL, d); _vanishes alone decides whether int f dmu is zero
@@ -158,12 +158,10 @@ def kannappan_abelian_family(inst: Instance, chars=None) -> SolutionReport:
 
 def dalembert_abelian_family(sg: FiniteSemigroup, tau: Involution, chars=None) -> np.ndarray:
     """Even parts g = (chi + chi o tau)/2 of the multiplicative functions, as
-    the bare stack, once tau is validated.  The equation has no measure; they
-    are built on the zero one."""
-    validate_involution(sg, tau.perm)
+    the bare stack, once Instance has validated tau.  The equation has no
+    measure; they are built on the zero one."""
     no_mu = CentralMeasure(points=np.zeros(0, np.int64), weights=np.zeros(0, complex))
-    inst = Instance.of_validated(sg, tau, no_mu)
-    return family_stack("dalembert", inst, chars)
+    return family_stack("dalembert", Instance(sg, tau, no_mu), chars)
 
 
 # ---------------------------------------------------------------------------

@@ -70,11 +70,11 @@ def test_admissible_masks_match_predicates(name):
 
 
 def test_admissible_masks_match_predicates_at_the_boundary():
-    # t = 1e-9 * ||mu||; every difference below is exact, so each integral
-    # sits on a tolerance: a nonzero integral must exceed t, and int chi o tau
-    # dmu must lie strictly within t of -int chi dmu
+    # t = ADMISSIBLE_TOL * ||mu||; every difference below is exact, so each
+    # integral sits on a tolerance: a nonzero integral must exceed t, and
+    # int chi o tau dmu must lie strictly within t of -int chi dmu
     inst = CASES["Z2/inv/d0"]
-    t = inst.mu.tolerance(1e-9, 1)
+    t = inst.mu.tolerance(families.ADMISSIBLE_TOL, 1)
     int_mu = np.array([2 * t, t, 2 * t, t, 1.0], dtype=complex)
     int_mu_tau = np.array([-t, -t, t, t, -1.0], dtype=complex)
     stacked = fl.CharacterIntegrals(np.ones((5, 2), complex), int_mu, int_mu_tau, inst.mu)
@@ -89,19 +89,20 @@ SEMILATTICE = fl.validate_semigroup([[0, 0], [0, 1]])  # 0 is a zero, 1 the iden
 
 def on_the_floor(lam: complex, steps: int) -> fl.Instance:
     """mu = lam delta_0 + w lam / |lam| delta_1 with |w| on the vanishing
-    floor 1e-9 * ||mu|| = 1e-9 * (|lam| + |w|) exactly (its fixed point),
-    then moved up by steps floats; the floor itself does not move."""
-    unit, w = lam / abs(lam), 1e-9 * abs(lam)
+    floor ADMISSIBLE_TOL * ||mu|| = ADMISSIBLE_TOL * (|lam| + |w|) exactly
+    (its fixed point), then moved up by steps floats; the floor itself does
+    not move."""
+    unit, w = lam / abs(lam), families.ADMISSIBLE_TOL * abs(lam)
     for _ in range(10):
         mu = fl.central_measure(SEMILATTICE, [(0, lam), (1, w * unit)])
-        w, last = mu.tolerance(1e-9, 1), w
+        w, last = mu.tolerance(families.ADMISSIBLE_TOL, 1), w
         if w == last:
             break
     floor = w
     for _ in range(steps):
         w = np.nextafter(w, np.inf)
     mu = fl.central_measure(SEMILATTICE, [(0, lam), (1, w * unit)])
-    assert mu.tolerance(1e-9, 1) == floor == last
+    assert mu.tolerance(families.ADMISSIBLE_TOL, 1) == floor == last
     return fl.Instance(sg=SEMILATTICE, tau=fl.identity_involution(SEMILATTICE), mu=mu)
 
 
@@ -110,9 +111,9 @@ def on_the_floor(lam: complex, steps: int) -> fl.Instance:
 def test_vanishing_mass_is_one_rule_at_the_boundary(lam, steps, vanishes):
     # the character g = (0, 1) is a d'Alembert solution with int g dmu = w,
     # and the cosine-type row f = lam g has int f dmu = w lam: both sit
-    # exactly on |int f dmu| = 1e-9 * ||mu|| * max|f|, or one step above it.
-    # Every site decides alike, and (f, mu) -> (lam f, lam mu) keeps the
-    # verdict.
+    # exactly on |int f dmu| = ADMISSIBLE_TOL * ||mu|| * max|f|, or one step
+    # above it.  Every site decides alike, and (f, mu) -> (lam f, lam mu)
+    # keeps the verdict.
     inst = on_the_floor(lam, steps)
     g = np.array([0.0, 1.0], dtype=complex)
     f = lam * g

@@ -114,6 +114,29 @@ class TestClosure:
             closed_system_roots(L, tol, draws=draws)
             assert len(shrinks) == 1 + sum(shrinks[1:])
 
+    def test_stops_when_a_pass_keeps_all(self, grid, monkeypatch):
+        # a pass whose outside part is above NULL_TOL in Frobenius norm but
+        # has no singular value above it removes nothing: the closure must
+        # return W as it stands, here the null space of the symmetry forms
+        real, calls = algebra._null_space, []
+
+        def keeps_all_outside(G):
+            calls.append(None)  # the first call of a closure takes the forms
+            return real(G) if len(calls) == 1 else np.eye(G.shape[1], dtype=complex)
+
+        monkeypatch.setattr(algebra, "_null_space", keeps_all_outside)
+        passes = 0
+        for L, _, _ in grid_systems(grid):
+            L = np.asarray(L, dtype=np.complex128)
+            if np.array_equal(L, L.transpose(0, 2, 1)):
+                continue
+            calls.clear()
+            W = algebra._closed_subspace(L)
+            forms = real((L - L.transpose(0, 2, 1)).reshape(len(L), -1).T)
+            assert np.array_equal(W, forms)
+            passes += len(calls) - 1
+        assert passes
+
 
 class TestBasisIndependence:
     def test_distinct_form_rows_certify_and_match(self, grid, monkeypatch):

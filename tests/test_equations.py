@@ -60,7 +60,7 @@ def brute_kannappan(f, inst):
 class TestInstance:
     def test_rejects_non_central_measure(self):
         mu = fl.central_measure(Z4, [(1, 1.0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(fl.SupportNotCentral):
             fl.Instance(sg=S3, tau=S3_INV, mu=mu)
 
     def test_rejects_foreign_involution(self):

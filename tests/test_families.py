@@ -6,6 +6,7 @@ import pytest
 
 import feqlab as fl
 from feqlab.families import (
+    RESIDUAL_TOL,
     SuiteReport,
     _failed,
     dalembert_integral_conditions,
@@ -226,6 +227,11 @@ class TestFamilyBuilder:
         with pytest.raises(ValueError):
             fl.family("sine", make_inst(Z4, NEG4, [(1, 1.0)]))
 
+    def test_suite_of_unknown_kind_rejected(self):
+        # d'Alembert's equation has no identity suite
+        with pytest.raises(ValueError):
+            identity_suites("dalembert", SINE[None], make_inst(Z4, NEG4, [(1, 1.0)]))
+
 
 class TestBijection:
     def test_forward_map_example(self):
@@ -343,7 +349,7 @@ class TestVanVleckSuite:
         "name, degree", [("odd_part", 1), ("shift_symmetry", 2), ("sandwich_tau", 3)]
     )
     def test_tolerance_scales_with_mu_degree(self, name, degree):
-        # each identity may deviate by 1e-10 * ||mu|| ** (its degree in mu)
+        # each identity may deviate by RESIDUAL_TOL * ||mu|| ** (its degree in mu)
         mu = fl.central_measure(Z4, [(0, 10.0)])
 
         def failures(dev):
@@ -352,8 +358,8 @@ class TestVanVleckSuite:
             argmax = (np.zeros((1, 1), np.intp),)
             return SuiteReport((name,), deviations, argmax, mass, failed).failures()
 
-        assert failures(0.9e-10 * 10.0**degree) == []
-        assert failures(1.1e-10 * 10.0**degree) == [name]
+        assert failures(0.9 * RESIDUAL_TOL * 10.0**degree) == []
+        assert failures(1.1 * RESIDUAL_TOL * 10.0**degree) == [name]
 
 
 

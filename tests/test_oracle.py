@@ -55,6 +55,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             fl.oracle_solve("vanvleck", z4_d1)
 
+    def test_runs_on_one_thread(self):
+        assert fl.oracle.thread_count() == 1
+
 
 class TestVanVleckCompleteness:
     def test_z4_dirac1_finds_exactly_the_sine(self, z4_d1):

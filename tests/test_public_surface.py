@@ -3,7 +3,9 @@
 A name counts as called when the code of src/feqlab/ refers to it outside
 its own definition and __init__.py, or the code of perfbench/, or the
 README's library example.  A name that only its own tests call belongs in
-tests/scalar_reference.py or nowhere.
+tests/scalar_reference.py or nowhere.  The same rule holds for every name a
+module of src/feqlab/ defines at its top level, private names included, so
+that deleting a caller cannot leave a dead helper behind.
 """
 from __future__ import annotations
 
@@ -35,6 +37,19 @@ def references(source: str) -> set[str]:
     return found
 
 
+def defined(source: str) -> set[str]:
+    """Functions, classes and assigned names the code defines at its top
+    level, dunder names (read by Python itself) aside."""
+    found = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            found.add(top.name)
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            found |= {node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)}
+    return {name for name in found if not name.startswith("__")}
+
+
 def exported() -> list[str]:
     return [name for name, obj in vars(fl).items()
             if not name.startswith("_") and not inspect.ismodule(obj)]
@@ -51,3 +66,13 @@ def test_every_exported_name_has_a_caller():
 
 def test_library_example_runs():
     exec(compile(library_example(), "README.md", "exec"), {})
+
+
+def test_every_module_level_name_has_a_reader():
+    modules = sorted((ROOT / "src" / "feqlab").glob("*.py"))
+    files = modules + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(references(library_example()),
+                       *(references(p.read_text(encoding="utf-8")) for p in files))
+    unread = {p.name: sorted(defined(p.read_text(encoding="utf-8")) - read) for p in modules}
+    assert "_worst_rows" in defined((ROOT / "src" / "feqlab" / "equations.py").read_text(encoding="utf-8"))
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -276,6 +276,21 @@ class TestBuilders:
         with pytest.raises(ValueError):
             fl.inverse_involution(fl.cyclic_semigroup(2, 2))
 
+    def test_inverse_involution_requires_every_inverse(self):
+        # the monoid {1, a, 0} has an identity, but a has no inverse
+        with pytest.raises(ValueError, match="element 1 has no unique two-sided inverse"):
+            fl.inverse_involution(nilpotent_monoid(2))
+
+    @pytest.mark.parametrize("build, args", [
+        (fl.cyclic_group, (0,)),
+        (fl.left_zero, (0,)),
+        (fl.cyclic_semigroup, (0, 1)),
+        (fl.cyclic_semigroup, (1, 0)),
+    ])
+    def test_builders_reject_non_positive_sizes(self, build, args):
+        with pytest.raises(ValueError, match="must be positive"):
+            build(*args)
+
     def test_inverse_involution_on_s3(self):
         sg = fl.symmetric_group_3()
         tau = fl.inverse_involution(sg)

@@ -16,6 +16,7 @@ from feqlab import verify
 from feqlab.equations import residuals
 from feqlab.families import (
     MU_DEGREE,
+    RESIDUAL_TOL,
     SolutionReport,
     identity_suites,
     integral_conditions,
@@ -358,7 +359,7 @@ def test_admitted_member_whose_image_fails_is_reported(monkeypatch):
     F = fl.dalembert_to_kannappan(D[rows], inst)
     f_res, f_at = residuals("kannappan", F, inst)
     back = np.abs(fl.kannappan_to_dalembert(F, inst) - D[rows]).max(axis=1)
-    assert (f_res > inst.mu.tolerance(1e-10, 2)).all()
+    assert (f_res > inst.mu.tolerance(RESIDUAL_TOL, 2)).all()
     got = fl.verify_instance(inst)
     assert got.failures == [
         {"argmax": at.tolist(), "identity": "bijection_forward", "max_abs": max(res, b),
