@@ -12,14 +12,16 @@ Reports are written by _render, one pass over the report, with the bytes of
 json.dumps(report, indent=2, sort_keys=True).  It exists because on Python
 3.11 json's C encoder does not indent: with indent set, json falls back to
 its pure-Python encoder, which visits every value and calls a Python hook
-for every complex number.  _render writes a SolutionReport as its list of
-members from the whole (m, n) stack: one np.unique over the bits of all
-values, each distinct float among them formatted once (NaN and infinities
-as json.dumps writes them), and each member's values joined with str.join.
-It writes each other array of complex values with one comprehension, each
-string (dict keys included) with the function json.dumps calls for it, and
-ints, booleans and None itself.  The option parser is built once per
-process, on the first call of main.
+for every complex number.  Every solution member goes through _members:
+_render writes a SolutionReport, or a list or tuple of them (solve
+--include-zero writes the constructed members and then the zero member), as
+one list of members from one (m, n) stack: one np.unique over the bits of
+all values, each distinct float among them formatted once (NaN and
+infinities as json.dumps writes them), and each member's values joined with
+str.join.  It writes each other array of complex values with one
+comprehension, each string (dict keys included) with the function
+json.dumps calls for it, and ints, booleans and None itself.  The option
+parser is built once per process, on the first call of main.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 
 from .equations import SOLUTION_DEGREE, Instance
 from .errors import InvariantViolation
-from .families import Solution, SolutionReport, character_integrals, family, integral_conditions
+from .families import SolutionReport, character_integrals, family, integral_conditions
 from .measures import central_measure, is_tau_invariant
 from .oracle import MATCH_EPS, OracleConfig, match_solution_sets, oracle_solve
 from .semigroups import center, orbit_table, validate_involution, validate_semigroup
@@ -82,19 +84,19 @@ def _complex(re: float, im: float, pad: str) -> str:
     return f"{before}{_float(im)}{between}{_float(re)}{after}"
 
 
-def _members(report: SolutionReport, pad: str) -> str:
-    """report as json.dumps writes its list of members (_members_json) at
-    indentation pad, from the whole (m, n) stack.  np.unique of the bits of
-    all 2mn parts finds the distinct floats (0.0 and -0.0 apart), each is
-    formatted once by _float, and each row is one str.join of those strings
-    and the _complex_text between them."""
-    F, res = report.values, report.residuals
+def _members(reports, pad: str) -> str:
+    """The members of the SolutionReports reports, in order, as json.dumps
+    writes the list of their {"provenance", "residual", "values"} dicts at
+    indentation pad, from one (m, n) stack.  np.unique of the bits of all 2mn
+    parts finds the distinct floats (0.0 and -0.0 apart), each is formatted
+    once by _float, and each row is one str.join of those strings."""
+    F = np.concatenate([r.values for r in reports], dtype=np.complex128)
     if not F.size:
         return "[]"
     m, n = F.shape
     i2, i4, i6 = (pad + " " * k for k in (2, 4, 6))
     before, between, after = _complex_text(i6)
-    bits = np.ascontiguousarray(F, dtype=np.complex128).view(np.int64)  # (re, im) pairs
+    bits = F.view(np.int64)  # (re, im) pairs
     distinct, which = np.unique(bits, return_inverse=True)
     text = np.array([_float(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     which = which.reshape(m, n, 2)
@@ -104,17 +106,18 @@ def _members(report: SolutionReport, pad: str) -> str:
     pieces[:, :, 1] = text[which[:, :, 1]]
     pieces[:, :, 2] = between
     pieces[:, :, 3] = text[which[:, :, 0]]
-    head = f'{{\n{i4}"provenance": {_quote(report.provenance)},\n{i4}"residual": '
-    items = [f'{head}{_float(r)},\n{i4}"values": [\n{i6}{"".join(row)}{after}\n{i4}]\n{i2}}}'
-             for r, row in zip(res.tolist(), pieces.reshape(m, 4 * n).tolist())]
+    heads = [f'{{\n{i4}"provenance": {_quote(r.provenance)},\n{i4}"residual": {_float(res)},'
+             for r in reports for res in r.residuals.tolist()]
+    items = [f'{head}\n{i4}"values": [\n{i6}{"".join(row)}{after}\n{i4}]\n{i2}}}'
+             for head, row in zip(heads, pieces.reshape(m, 4 * n).tolist())]
     return "[\n" + i2 + (",\n" + i2).join(items) + "\n" + pad + "]"
 
 
 def _render(obj, pad: str) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it at
     indentation pad, with complex numbers as {"im", "re"} objects, 1-d
-    arrays as lists of them and a SolutionReport as its list of members.
-    Dict keys are strings."""
+    arrays as lists of them and a SolutionReport, or a list or tuple of
+    them, as the list of all their members (_members).  Keys are strings."""
     if isinstance(obj, float):
         return _float(obj)
     if type(obj) is int:
@@ -122,7 +125,7 @@ def _render(obj, pad: str) -> str:
     if obj is True or obj is False or obj is None:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, SolutionReport):
-        return _members(obj, pad)
+        return _members((obj,), pad)
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -137,6 +140,8 @@ def _render(obj, pad: str) -> str:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if isinstance(obj[0], SolutionReport):  # then every item is one
+            return _members(obj, pad)
         items = [_render(v, inner) for v in obj]
     elif isinstance(obj, complex):
         return _complex(obj.real, obj.imag, pad)
@@ -147,18 +152,9 @@ def _render(obj, pad: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
 
-def _emit(obj) -> None:
-    print(_render(obj, ""))
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SpecFormatError(message)
-
-
-def _is_int(v) -> bool:
-    """JSON integer; true and false parse as Python bools, which are ints."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _index_array(values: list, message: str) -> np.ndarray:
@@ -168,10 +164,6 @@ def _index_array(values: list, message: str) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError as exc:
         raise SpecFormatError(message) from exc
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
@@ -193,8 +185,9 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
     _require(isinstance(data, dict), "spec must be a JSON object")
     for key in ("order", "cayley", "involution", "measure"):
         _require(key in data, f"missing required key {key!r}")
+    # JSON numbers load as int or float, true and false as bool, not as int
     n = data["order"]
-    _require(_is_int(n) and n > 0, "order must be a positive integer")
+    _require(type(n) is int and n > 0, "order must be a positive integer")
     cayley = data["cayley"]
     _require(
         isinstance(cayley, list) and len(cayley) == n * n,
@@ -215,9 +208,9 @@ def load_instance_file(path: str) -> tuple[Instance, list[str] | None]:
             isinstance(a, dict) and {"point", "re", "im"} <= set(a),
             "each atom needs keys point, re, im",
         )
-        _require(_is_int(a["point"]), "atom point must be an integer")
+        _require(type(a["point"]) is int, "atom point must be an integer")
         _require(
-            _is_number(a["re"]) and _is_number(a["im"]),
+            {type(a["re"]), type(a["im"])} <= {int, float},
             "atom weights re, im must be numbers",
         )
         try:
@@ -308,9 +301,9 @@ def cmd_solve(args, inst: Instance, labels) -> tuple[dict, int]:
         }
         if not result.is_match:
             exit_code = EXIT_MISMATCH
-    if args.include_zero:  # the members as dicts with the keys _members writes
-        zero = Solution(np.zeros(inst.sg.order, dtype=complex), 0.0, "appended_zero")
-        out["solutions"] = [vars(s) for s in (*constructed.solutions, zero)]
+    if args.include_zero:
+        zero = SolutionReport(np.zeros((1, inst.sg.order), dtype=complex), np.zeros(1), "appended_zero")
+        out["solutions"] = (constructed, zero)
     return out, exit_code
 
 
@@ -378,7 +371,7 @@ def main(argv=None) -> int:
         report, code = args.func(args, *load_instance_file(args.spec_file))
     except InvariantViolation as exc:
         report, code = {"error": {"invariant": exc.invariant, "message": str(exc)}}, EXIT_VALIDATION
-    _emit(report)
+    print(_render(report, ""))
     return code
 
 

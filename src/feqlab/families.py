@@ -77,9 +77,8 @@ class Solution:
 class SolutionReport:
     """Deduplicated, canonically ordered solution set of one equation: the
     read-only (m, n) stack values, the (m,) float array residuals, and where
-    every member comes from ("constructed" or "oracle")."""
+    every member comes from ("constructed", "oracle" or "appended_zero")."""
 
-    equation: str
     values: np.ndarray
     residuals: np.ndarray
     provenance: str
@@ -143,7 +142,7 @@ def family(kind: str, inst: Instance, chars=None) -> SolutionReport:
     (int g dmu) g where g is admissible, all nonzero abelian solutions."""
     F = family_stack(kind, inst, chars)
     res, _ = residuals(kind, F, inst)
-    return SolutionReport(kind, F, res, "constructed")
+    return SolutionReport(F, res, "constructed")
 
 
 def van_vleck_family(inst: Instance, chars=None) -> SolutionReport:
@@ -283,9 +282,9 @@ class SuiteReport:
     mass: np.ndarray
     failed: np.ndarray
 
-    def failures(self, i: int = 0) -> list[str]:
-        """The names of the checks row i fails."""
-        return [name for name, bad in zip(self.names + ("nonzero_mass",), self.failed[i]) if bad]
+    def failures(self) -> list[str]:
+        """The names of the checks row 0 fails, for the suite of one function."""
+        return [name for name, bad in zip(self.names + ("nonzero_mass",), self.failed[0]) if bad]
 
 
 def _failed(names, deviations, mass, F, required, mu: CentralMeasure) -> np.ndarray:

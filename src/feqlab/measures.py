@@ -54,9 +54,9 @@ class CentralMeasure:
 def central_measure(sg: FiniteSemigroup, atoms) -> CentralMeasure:
     """Build a measure in canonical form.
 
-    Zero input weights are rejected outright; duplicate points are merged by
-    summing weights and rejected if the merged weight cancels to zero.  The
-    canonical (sorted, merged) form makes measure equality decidable.
+    Zero and non-finite weights are rejected; duplicate points are merged by
+    summing weights, and a sum that cancels to zero or overflows is rejected.
+    The canonical (sorted, merged) form makes measure equality decidable.
     """
     merged: dict[int, complex] = {}
     for point, weight in atoms:
@@ -73,6 +73,8 @@ def central_measure(sg: FiniteSemigroup, atoms) -> CentralMeasure:
     for z, w in merged.items():
         if w == 0:
             raise InvalidMeasure(f"atoms at {z} cancel to zero weight")
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+            raise InvalidMeasure(f"atoms at {z} merge to non-finite weight {w}")
     central = set(center(sg))
     for z in merged:
         if z not in central:

@@ -81,7 +81,7 @@ def oracle_solve(kind: str, inst: Instance, cfg: OracleConfig | None = None) -> 
     keep = dedup_canonical(roots, inst.mu.tolerance(DEDUP_EPS, degree), s)
     finals = roots[keep]
     finals.setflags(write=False)
-    return SolutionReport(kind, finals, res[keep], "oracle")
+    return SolutionReport(finals, res[keep], "oracle")
 
 
 @dataclass(frozen=True)

@@ -33,18 +33,12 @@ class FiniteSemigroup:
     order: int
     cayley: np.ndarray
 
-    def mul(self, x: int, y: int) -> int:
-        return int(self.cayley[x, y])
-
 
 @dataclass(frozen=True, eq=False)
 class Involution:
     """A permutation tau with tau(xy) = tau(y)tau(x) and tau(tau(x)) = x."""
 
     perm: np.ndarray
-
-    def __call__(self, x: int) -> int:
-        return int(self.perm[x])
 
 
 def validate_semigroup(table) -> FiniteSemigroup:

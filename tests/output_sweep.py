@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/output_sweep.py OUTDIR
     python tests/output_sweep.py --compare A B
 
-The first form runs 990 requests in one process through feqlab.cli.main:
+The first form runs 1,089 requests in one process through feqlab.cli.main:
 99 specs (the conftest grid of 78, the 8 ladder instances, 4
 near-cancelling measures delta_0 - w delta_1 on Z2 with tau = id, whose
 small members lie below ||mu||^2, 4 measures on Z3 with the inverse
@@ -17,11 +17,12 @@ delta_6 on Z12, both with tau = id, and delta_1 + (1 - 1e-7) delta_5 on Z6
 with the inverse involution, and 2 measures on the non-commutative S3xZ3
 with the inverse involution, which moves their central atoms: delta_(e,1)
 and delta_(e,1) - delta_(e,2)) times validate, chars, solve x3, solve
---oracle --seed 0 x3, verify-theorems --seed 0 and solve kannappan
---include-zero.  Each request's exit code and
-stdout go to OUTDIR/<spec>.<request>.txt, the exit code on the first line.
-feqlab is imported from PYTHONPATH, so one copy of this script records any
-checkout.
+--oracle --seed 0 x3, verify-theorems --seed 0, and solve kannappan and
+solve vanvleck with --include-zero; on a spec with tau = id the Van Vleck
+family is empty, and the zero member is written alone.  Each request's exit
+code and stdout go to OUTDIR/<spec>.<request>.txt, the exit code on the
+first line.  feqlab is imported from PYTHONPATH, so one copy of this script
+records any checkout.
 
 The second form counts the outputs that are byte-identical in A and B.  The
 others must have equal exit codes and equal JSON structure: the same keys,
@@ -50,6 +51,7 @@ REQUESTS = {  # argv with SPEC for the spec file
     **{f"oracle-{c}": ["solve", c, "SPEC", "--oracle", "--seed", "0"] for c in COMMANDS},
     "verify": ["verify-theorems", "SPEC", "--seed", "0"],
     "kannappan-zero": ["solve", "kannappan", "SPEC", "--include-zero"],
+    "vanvleck-zero": ["solve", "vanvleck", "SPEC", "--include-zero"],
 }
 NEAR_CANCELLING = (0.999, 0.99999, 0.9999999, 0.999999999)  # the weights w
 NEAR_SYMMETRIC = (  # the atoms on Z3

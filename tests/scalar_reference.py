@@ -113,7 +113,7 @@ def pushforward_tau(
     sg: fl.FiniteSemigroup, mu: fl.CentralMeasure, tau: fl.Involution
 ) -> fl.CentralMeasure:
     """Image measure under tau: atoms (tau(z_i), w_i), remerged canonically."""
-    return fl.central_measure(sg, [(tau(int(z)), w) for z, w in mu.atoms()])
+    return fl.central_measure(sg, [(int(tau.perm[z]), w) for z, w in mu.atoms()])
 
 
 def double_integral(
@@ -135,8 +135,8 @@ def double_integral(
         raise ValueError("mode 'left_tau' needs the involution")
     total = 0j
     for z, w in zip(mu.points, mu.weights):
-        lead = int(z) if mode == "plain" else tau(int(z))
-        base = lead if x is None else sg.mul(x, lead)
+        lead = int(z) if mode == "plain" else int(tau.perm[z])
+        base = lead if x is None else sg.cayley[x, lead]
         total += complex(w) * right_integral(sg, f, mu, base)
     return total
 
@@ -180,7 +180,7 @@ def van_vleck_family_dirac(
     if len(inst.mu.points) != 1 or complex(inst.mu.weights[0]) != 1 + 0j:
         raise ValueError("specialization needs a single atom of weight 1")
     z0 = int(inst.mu.points[0])
-    tz0 = inst.tau(z0)
+    tz0 = int(inst.tau.perm[z0])
     if chars is None:
         chars = fl.enumerate_multiplicative(inst.sg)
     funcs = []
@@ -191,7 +191,7 @@ def van_vleck_family_dirac(
     kept = dedup_canonical_loop(funcs, eps=dedup_eps)
     F = np.array(kept, dtype=np.complex128).reshape(len(kept), inst.sg.order)
     res = np.array([residual("van_vleck", f, inst).max_abs for f in F])
-    return fl.SolutionReport("van_vleck", F, res, "constructed")
+    return fl.SolutionReport(F, res, "constructed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +266,7 @@ def _canonical_family(kind: str, funcs, inst: fl.Instance) -> fl.SolutionReport:
     degree = SOLUTION_DEGREE[kind]
     F = F[dedup_canonical(F, inst.mu.tolerance(DEDUP_EPS, degree), inst.mu.tolerance(1.0, degree))]
     res, _ = residuals(kind, F, inst)
-    return fl.SolutionReport(kind, F, res, "constructed")
+    return fl.SolutionReport(F, res, "constructed")
 
 
 def dedup_canonical_loop(funcs, eps: float, scale: float = 1.0) -> list[np.ndarray]:
@@ -352,7 +352,7 @@ def orbit_walk(sg: fl.FiniteSemigroup, x: int) -> tuple[int, int]:
     cur, k = x, 1
     while cur not in seen:
         seen[cur] = k
-        cur = sg.mul(cur, x)
+        cur = sg.cayley[cur, x]
         k += 1
     i = seen[cur]
     return i, k - i

@@ -31,7 +31,7 @@ def brute_multiplicative(sg, tol=1e-12):
         if np.max(np.abs(v)) <= tol:
             continue
         if all(
-            abs(v[sg.mul(x, y)] - v[x] * v[y]) <= tol
+            abs(v[sg.cayley[x, y]] - v[x] * v[y]) <= tol
             for x in range(sg.order)
             for y in range(sg.order)
         ):

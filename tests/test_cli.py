@@ -15,7 +15,7 @@ from feqlab import cli, verify
 from feqlab.families import SolutionReport
 
 from conftest import build_grid, ladder_instances
-from scalar_reference import character_integral_loop
+from scalar_reference import character_integral_loop, json_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -264,7 +264,7 @@ class TestSolveCommand:
         # forge an oracle that reports a bogus extra solution
         def fake_oracle(kind, inst, cfg=None):
             bogus = np.full((1, inst.sg.order), 9.0, dtype=complex)
-            return SolutionReport(kind, bogus, np.zeros(1), "oracle")
+            return SolutionReport(bogus, np.zeros(1), "oracle")
 
         monkeypatch.setattr(cli, "oracle_solve", fake_oracle)
         path = write_spec(tmp_path)
@@ -427,6 +427,27 @@ class TestDeterminism:
         path = write_spec(tmp_path, measure=[{"point": 1, "re": 1.0, "im": -0.5}])
         _, out = run(capsys, *(path if a == "SPEC" else a for a in argv))
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"order": 2, "cayley": [0, 1, 1, 0], "involution": [0, 1],
+          "measure": [{"point": 1, "re": 1.0, "im": 0.0}]}, {}],
+        ids=["Z2-id-no-members", "Z4-neg-members"],
+    )
+    def test_include_zero_is_json_dumps_of_the_members(self, tmp_path, capsys, spec):
+        # Z2 with tau = id has no Van Vleck member, so the zero member stands alone
+        path = write_spec(tmp_path, **spec)
+        inst, _ = cli.load_instance_file(path)
+        built = fl.family("van_vleck", inst)
+        members = [{"provenance": "constructed", "residual": r, "values": f}
+                   for f, r in zip(built.values, built.residuals.tolist())]
+        members.append({"provenance": "appended_zero", "residual": 0.0,
+                        "values": np.zeros(inst.sg.order, dtype=complex)})
+        code, out = run(capsys, "solve", "vanvleck", path, "--include-zero")
+        assert code == 0
+        assert len(members) == (1 if spec else 2)
+        want = {"equation": "van_vleck", "order": inst.sg.order, "solutions": members}
+        assert out == json_report(want) + "\n"
 
     @pytest.mark.parametrize("name, command", LADDER_COMMANDS)
     def test_ladder_reports_are_json_dumps(self, tmp_path, capsys, name, command):

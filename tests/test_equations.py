@@ -37,7 +37,7 @@ def brute_van_vleck(f, inst):
     for x in range(sg.order):
         for y in range(sg.order):
             lhs = sum(
-                w * f[sg.mul(sg.mul(x, tau(y)), z)] - w * f[sg.mul(sg.mul(x, y), z)]
+                w * f[sg.cayley[sg.cayley[x, tau.perm[y]], z]] - w * f[sg.cayley[sg.cayley[x, y], z]]
                 for z, w in mu.atoms()
             )
             worst = max(worst, abs(lhs - 2 * f[x] * f[y]))
@@ -50,7 +50,7 @@ def brute_kannappan(f, inst):
     for x in range(sg.order):
         for y in range(sg.order):
             lhs = sum(
-                w * f[sg.mul(sg.mul(x, y), z)] + w * f[sg.mul(sg.mul(x, tau(y)), z)]
+                w * f[sg.cayley[sg.cayley[x, y], z]] + w * f[sg.cayley[sg.cayley[x, tau.perm[y]], z]]
                 for z, w in mu.atoms()
             )
             worst = max(worst, abs(lhs - 2 * f[x] * f[y]))
@@ -164,8 +164,8 @@ class TestDalembert:
         sign = np.array([1, -1, -1, 1, 1, -1], dtype=complex)
         worst = max(
             abs(
-                sign[S3.mul(x, y)]
-                + sign[S3.mul(x, S3_INV(y))]
+                sign[S3.cayley[x, y]]
+                + sign[S3.cayley[x, S3_INV.perm[y]]]
                 - 2 * sign[x] * sign[y]
             )
             for x in range(6)
@@ -213,7 +213,7 @@ class TestKannappanCondition:
         f[1] = 1.0  # indicator of a fixed transposition
         brute = max(
             abs(
-                f[S3.mul(S3.mul(x, y), z)] - f[S3.mul(S3.mul(y, x), z)]
+                f[S3.cayley[S3.cayley[x, y], z]] - f[S3.cayley[S3.cayley[y, x], z]]
             )
             for x in range(6)
             for y in range(6)

@@ -59,6 +59,12 @@ class TestConstruction:
         with pytest.raises(fl.InvalidMeasure):
             z4_measure((1, complex(0, float("inf"))))
 
+    @pytest.mark.parametrize("w", [1e308, -1e308, 1e308j])
+    def test_non_finite_merged_weight_rejected(self, w):
+        # each weight is finite, their sum is not
+        with pytest.raises(fl.InvalidMeasure, match="non-finite"):
+            fl.central_measure(fl.cyclic_group(2), [(0, w), (0, w)])
+
 
 class TestRightIntegral:
     def test_single_atom_is_translation(self):

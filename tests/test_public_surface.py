@@ -5,7 +5,8 @@ its own definition and __init__.py, or the code of perfbench/, or the
 README's library example.  A name that only its own tests call belongs in
 tests/scalar_reference.py or nowhere.  The same rule holds for every name a
 module of src/feqlab/ defines at its top level, private names included, so
-that deleting a caller cannot leave a dead helper behind.
+that deleting a caller cannot leave a dead helper behind, and for every
+method, property and dataclass field of a class defined there.
 """
 from __future__ import annotations
 
@@ -50,6 +51,20 @@ def defined(source: str) -> set[str]:
     return {name for name in found if not name.startswith("__")}
 
 
+def members(source: str) -> set[str]:
+    """Class.name of every method, property and annotated (dataclass) field
+    of the classes the code defines at its top level, dunder names aside."""
+    found = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    found.add((top.name, node.name))
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    found.add((top.name, node.target.id))
+    return {f"{cls}.{name}" for cls, name in found if not name.startswith("__")}
+
+
 def exported() -> list[str]:
     return [name for name, obj in vars(fl).items()
             if not name.startswith("_") and not inspect.ismodule(obj)]
@@ -75,4 +90,18 @@ def test_every_module_level_name_has_a_reader():
                        *(references(p.read_text(encoding="utf-8")) for p in files))
     unread = {p.name: sorted(defined(p.read_text(encoding="utf-8")) - read) for p in modules}
     assert "_worst_rows" in defined((ROOT / "src" / "feqlab" / "equations.py").read_text(encoding="utf-8"))
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_every_class_member_has_a_reader():
+    modules = sorted((ROOT / "src" / "feqlab").glob("*.py"))
+    files = modules + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(references(library_example()),
+                       *(references(p.read_text(encoding="utf-8")) for p in files))
+    called_by_argparse = {"_Parser.error"}
+    unread = {p.name: sorted(name for name in members(p.read_text(encoding="utf-8"))
+                             if name.split(".")[1] not in read and name not in called_by_argparse)
+              for p in modules}
+    families = (ROOT / "src" / "feqlab" / "families.py").read_text(encoding="utf-8")
+    assert {"SolutionReport.values", "SuiteReport.failures"} <= members(families)
     assert {name: names for name, names in unread.items() if names} == {}

@@ -115,7 +115,7 @@ def test_stack_matches_loop_on_failures(monkeypatch):
         built = real(kind, inst, chars)
         F = np.concatenate([np.array(forged[kind]), built.values])
         res = np.concatenate([np.zeros(len(forged[kind])), built.residuals])
-        return SolutionReport(kind, F, res, "constructed")
+        return SolutionReport(F, res, "constructed")
 
     def fake_family_stack(kind, inst, chars=None):
         return np.concatenate([np.array(forged[kind]), real_stack(kind, inst, chars)])
