@@ -67,10 +67,10 @@ def _closed_subspace(L: np.ndarray) -> np.ndarray:
     """Orthonormal basis W of the closed subspace, shape (n, dim W).  With no
     symmetry forms W is the identity as _null_space returns it for zero
     forms, -0j and all."""
-    n = len(L)
-    if np.array_equal(L, L.transpose(0, 2, 1)):
+    n, D = len(L), L - L.transpose(0, 2, 1)
+    if not D.any():
         return np.eye(n, dtype=L.dtype).conj()
-    W = _null_space((L - L.transpose(0, 2, 1)).reshape(n, n * n).T)  # the symmetry forms
+    W = _null_space(D.reshape(n, n * n).T)  # the symmetry forms
     while 0 < W.shape[1] < n:
         outside = _lower_images(L, W)
         outside -= W @ (W.conj().T @ outside)
@@ -86,27 +86,32 @@ def _closed_subspace(L: np.ndarray) -> np.ndarray:
 def _cluster_roots(L, W, B, lam, V) -> np.ndarray:
     """The zero root, then one root per cluster, a component of the graph of
     eigenvalues lam of B closer than CLUSTER_TOL, in order of smallest index:
-    trace(Z^H A_y Z) / m for an orthonormal basis Z of its invariant subspace."""
+    trace(Z^H A_y Z) / m for an orthonormal basis Z of its invariant subspace
+    (Z = W V and every m = 1 where no cluster holds two eigenvalues)."""
     near = np.abs(lam[:, None] - lam[None, :]) <= CLUSTER_TOL
-    label = np.arange(lam.size)
-    while True:
-        new = np.where(near, label[None, :], lam.size).min(axis=1, initial=lam.size)
-        if (new == label).all():
-            break
-        label = new
-    first = np.flatnonzero(label == np.arange(lam.size))  # label: the smallest index
-    counts = np.bincount(label)[first]
-    starts = counts.cumsum() - counts
-    order = np.argsort(label, kind="stable")  # each cluster's columns side by side
-    Y = V[:, order]
-    for s, m in zip(starts[counts > 1].tolist(), counts[counts > 1].tolist()):
-        shifted = B - lam[order[s:s + m]].mean() * np.eye(len(B))
-        _, _, vh = np.linalg.svd(np.linalg.matrix_power(shifted, m))
-        Y[:, s:s + m] = vh[-m:].conj().T
+    Y, starts, sizes = V, None, 1
+    if np.count_nonzero(near) > lam.size:  # some cluster holds two or more
+        label = np.arange(lam.size)
+        while True:
+            new = np.where(near, label[None, :], lam.size).min(axis=1, initial=lam.size)
+            if (new == label).all():
+                break
+            label = new
+        first = np.flatnonzero(label == np.arange(lam.size))  # label: the smallest index
+        counts = np.bincount(label)[first]
+        starts, sizes = counts.cumsum() - counts, counts[:, None]
+        order = np.argsort(label, kind="stable")  # each cluster's columns side by side
+        Y = V[:, order]
+        for s, m in zip(starts[counts > 1].tolist(), counts[counts > 1].tolist()):
+            shifted = B - lam[order[s:s + m]].mean() * np.eye(len(B))
+            _, _, vh = np.linalg.svd(np.linalg.matrix_power(shifted, m))
+            Y[:, s:s + m] = vh[-m:].conj().T
     Z, n = W @ Y, len(L)
     AZ = (Z.T @ L.reshape(n, n * n)).reshape(-1, n, n)  # 2 (A_y Z)[x, column] at [column, x, y]
-    F = np.zeros((first.size + 1, n), dtype=np.complex128)
-    F[1:] = np.add.reduceat((Z.conj().T[:, None] @ AZ)[:, 0], starts) / (2.0 * counts[:, None])
+    sums = (Z.conj().T[:, None] @ AZ)[:, 0]  # 2 (Z^H A_y Z)[column, column]
+    sums = sums if starts is None else np.add.reduceat(sums, starts)
+    F = np.zeros((len(sums) + 1, n), dtype=np.complex128)
+    F[1:] = sums / (2.0 * sizes)
     return F
 
 

@@ -20,15 +20,14 @@ all values, each distinct float among them formatted once (NaN and
 infinities as json.dumps writes them), and each member's values joined with
 str.join.  It writes each other array of complex values with one
 comprehension, each string (dict keys included) with the function
-json.dumps calls for it, and ints, booleans and None itself.  The option
-parser is built once per process, on the first call of main.
+json.dumps calls for it, and ints, booleans and None itself.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
+import sys
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 import numpy as np
@@ -275,7 +274,7 @@ def cmd_chars(args, inst: Instance, labels) -> tuple[dict, int]:
 
 
 def cmd_solve(args, inst: Instance, labels) -> tuple[dict, int]:
-    kind = _KIND_BY_COMMAND[args.kind]
+    kind = _KIND_BY_COMMAND[args["kind"]]
     constructed = family(kind, inst)
     out = {
         "equation": kind,
@@ -283,8 +282,8 @@ def cmd_solve(args, inst: Instance, labels) -> tuple[dict, int]:
         "solutions": constructed,
     }
     exit_code = EXIT_OK
-    if args.oracle:
-        cfg = OracleConfig(rng_seed=args.seed)
+    if args["--oracle"]:
+        cfg = OracleConfig(rng_seed=args["--seed"])
         found = oracle_solve(kind, inst, cfg)
         eps = inst.mu.tolerance(MATCH_EPS, SOLUTION_DEGREE[kind])
         result = match_solution_sets(constructed.values, found.values, eps)
@@ -301,14 +300,14 @@ def cmd_solve(args, inst: Instance, labels) -> tuple[dict, int]:
         }
         if not result.is_match:
             exit_code = EXIT_MISMATCH
-    if args.include_zero:
+    if args["--include-zero"]:
         zero = SolutionReport(np.zeros((1, inst.sg.order), dtype=complex), np.zeros(1), "appended_zero")
         out["solutions"] = (constructed, zero)
     return out, exit_code
 
 
 def cmd_verify(args, inst: Instance, labels) -> tuple[dict, int]:
-    report = verify_instance(inst, OracleConfig(rng_seed=args.seed))
+    report = verify_instance(inst, OracleConfig(rng_seed=args["--seed"]))
     out = {
         "dalembert_conditions": report.dalembert_conditions,
         "kannappan_suites": report.kannappan_suites,
@@ -322,53 +321,59 @@ def cmd_verify(args, inst: Instance, labels) -> tuple[dict, int]:
     return out, EXIT_OK if report.passed else EXIT_THEOREM
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refused options raise OptionError instead of printing usage and
-    exiting, so they get a JSON report like every other bad input."""
+_USAGE = """usage: feqlab {validate,chars} SPEC
+       feqlab solve {vanvleck,kannappan,dalembert} SPEC [--oracle] [--seed N] [--include-zero]
+       feqlab verify-theorems SPEC [--seed N]"""
 
-    def error(self, message):
-        raise OptionError(message)
+# Each command's function, positionals and flags with defaults, for _parse: a
+# flag whose default is False is a switch, one whose default is an int takes one.
+_COMMANDS = {
+    "validate": (cmd_validate, ("spec_file",), {}),
+    "chars": (cmd_chars, ("spec_file",), {}),
+    "solve": (cmd_solve, ("kind", "spec_file"), {"--oracle": False, "--seed": 0, "--include-zero": False}),
+    "verify-theorems": (cmd_verify, ("spec_file",), {"--seed": 0}),
+}
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="feqlab",
-        description=(
-            "Construct, enumerate and verify solution sets of integral "
-            "Van Vleck, Kannappan and d'Alembert functional equations on "
-            "finite semigroups."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate an instance spec file")
-    p.add_argument("spec_file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("chars", help="enumerate multiplicative functions")
-    p.add_argument("spec_file")
-    p.set_defaults(func=cmd_chars)
-
-    p = sub.add_parser("solve", help="construct (and optionally cross-check) a solution family")
-    p.add_argument("kind", choices=sorted(_KIND_BY_COMMAND))
-    p.add_argument("spec_file")
-    p.add_argument("--oracle", action="store_true", help="also run the numeric oracle and compare")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--include-zero", action="store_true", help="append the zero solution to the report")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify-theorems", help="run all identity suites and bijection round-trips")
-    p.add_argument("spec_file")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
-    return parser
+def _parse(argv: list[str]) -> tuple:
+    """The command function of argv and its arguments: the positionals by
+    name and each flag of the command by its name, as last given or its
+    default.  Options may stand anywhere after the command, a value as
+    --seed N or --seed=N; a flag name must be given whole.  -h or --help,
+    unless read as or after a refused --seed value, prints usage and exits 0."""
+    command, names, flags = _COMMANDS.get(argv[0] if argv else "", (None, (), {}))
+    args, positionals, refused, tokens = dict(flags), [], [], iter(argv[1:] if command else argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            print(_USAGE)
+            raise SystemExit(EXIT_OK)
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif flags.get(token) is False:  # a switch
+            args[token] = True
+        elif type(flags.get(flag)) is int:
+            value = value if eq else next(tokens, None)
+            try:
+                args[flag] = int(value)
+            except (TypeError, ValueError):
+                raise OptionError(f"{flag} takes an integer, got {value!r}") from None
+        else:
+            refused.append(token)
+    if command is None:
+        raise OptionError(f"expected a command, one of {', '.join(_COMMANDS)}; got {argv[:1]}")
+    if refused or len(positionals) != len(names):
+        raise OptionError(f"{argv[0]} takes {' '.join(names)} and options {list(flags)}, got {argv[1:]}")
+    args.update(zip(names, positionals))
+    if "kind" in names and args["kind"] not in _KIND_BY_COMMAND:
+        raise OptionError(f"kind must be one of {', '.join(_KIND_BY_COMMAND)}, got {args['kind']!r}")
+    return command, args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        report, code = args.func(args, *load_instance_file(args.spec_file))
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        report, code = command(args, *load_instance_file(args["spec_file"]))
     except InvariantViolation as exc:
         report, code = {"error": {"invariant": exc.invariant, "message": str(exc)}}, EXIT_VALIDATION
     print(_render(report, ""))

@@ -20,8 +20,10 @@ encoder with a default hook for complex values).  orbit_walk follows the
 powers of one element; verify_instance_loop
 checks one solution at a time through the single-function calls (residual,
 here row 0 of residuals on a stack of one, the identity suites and the
-bijection maps), and closed_subspace_svd finds the closed subspace of the
-solver by SVD even where the symmetry forms vanish.
+bijection maps), closed_subspace_svd finds the closed subspace of the
+solver by SVD even where the symmetry forms vanish, and cluster_roots_general
+reads every root through the clustering, labels and reduceat even where each
+cluster is one eigenvalue.
 multiplication_matrices stores the matrices M_y of the eigenvalue method on
 v = (1, f), whose lower blocks A_y the solver reads off its table.
 
@@ -38,7 +40,7 @@ from itertools import permutations
 import numpy as np
 
 import feqlab as fl
-from feqlab.algebra import _lower_images, _null_space, closed_system_roots
+from feqlab.algebra import CLUSTER_TOL, _lower_images, _null_space, closed_system_roots
 from feqlab.characters import CANON_DECIMALS, DRAWS, MULT_TOL, ROOT_TOL, dedup_canonical
 from feqlab.equations import SOLUTION_DEGREE, _worst_rows, residuals
 from feqlab.families import (
@@ -385,6 +387,34 @@ def closed_subspace_svd(L: np.ndarray) -> np.ndarray:
             break
         W = W @ keep
     return W
+
+
+def cluster_roots_general(L, W, B, lam, V) -> np.ndarray:
+    """The solver's _cluster_roots with every cluster, one eigenvalue or
+    more, read by the general rule: labels by the graph of eigenvalues closer
+    than CLUSTER_TOL, columns sorted by label, one SVD per cluster of two or
+    more, and one reduceat over the clusters' traces divided by 2 m."""
+    near = np.abs(lam[:, None] - lam[None, :]) <= CLUSTER_TOL
+    label = np.arange(lam.size)
+    while True:
+        new = np.where(near, label[None, :], lam.size).min(axis=1, initial=lam.size)
+        if (new == label).all():
+            break
+        label = new
+    first = np.flatnonzero(label == np.arange(lam.size))  # label: the smallest index
+    counts = np.bincount(label)[first]
+    starts = counts.cumsum() - counts
+    order = np.argsort(label, kind="stable")  # each cluster's columns side by side
+    Y = V[:, order]
+    for s, m in zip(starts[counts > 1].tolist(), counts[counts > 1].tolist()):
+        shifted = B - lam[order[s:s + m]].mean() * np.eye(len(B))
+        _, _, vh = np.linalg.svd(np.linalg.matrix_power(shifted, m))
+        Y[:, s:s + m] = vh[-m:].conj().T
+    Z, n = W @ Y, len(L)
+    AZ = (Z.T @ L.reshape(n, n * n)).reshape(-1, n, n)  # 2 (A_y Z)[x, column] at [column, x, y]
+    F = np.zeros((first.size + 1, n), dtype=np.complex128)
+    F[1:] = np.add.reduceat((Z.conj().T[:, None] @ AZ)[:, 0], starts) / (2.0 * counts[:, None])
+    return F
 
 
 def verify_instance_loop(

@@ -13,7 +13,8 @@ from feqlab.families import family_stack
 from feqlab.oracle import match_solution_sets
 
 from conftest import ladder_instances, nilpotent_monoid
-from scalar_reference import closed_subspace_svd, multiplication_matrices
+from output_sweep import specs as sweep_specs
+from scalar_reference import closed_subspace_svd, cluster_roots_general, multiplication_matrices
 
 
 def multiplicativity_table(sg):
@@ -185,7 +186,44 @@ def grid_systems(grid):
         yield multiplicativity_table(sg), ROOT_TOL, DRAWS
 
 
+def sweep_systems():
+    """Every equation system of the output sweep's 99 specs (the grid, the
+    ladder and the near-cancelling and moved-atom measures), scaled as the
+    oracle scales it, and the multiplicativity system of each of their
+    semigroups and of the nilpotent monoids, whose roots are multiple."""
+    semigroups = {}
+    for spec in sweep_specs().values():
+        n = spec["order"]
+        sg = fl.validate_semigroup(np.array(spec["cayley"]).reshape(n, n))
+        mu = fl.central_measure(sg, [(a["point"], complex(a["re"], a["im"])) for a in spec["measure"]])
+        inst = fl.Instance(sg=sg, tau=fl.validate_involution(sg, np.array(spec["involution"])), mu=mu)
+        semigroups[sg.cayley.tobytes()] = sg
+        for kind in fl.KINDS:
+            yield equation_table(kind, inst), fl.oracle.CONVERGE_TOL, fl.OracleConfig().restarts
+    for sg in [*semigroups.values(), nilpotent_monoid(2), nilpotent_monoid(3)]:
+        yield multiplicativity_table(sg), ROOT_TOL, DRAWS
+
+
 class TestSameBits:
+    def test_separated_roots_as_the_general_rule(self, monkeypatch):
+        # where every cluster is one eigenvalue, _cluster_roots reads the
+        # roots in one product; the labels, SVDs and reduceat of the general
+        # rule give the same bits, and systems with multiple roots take the
+        # general rule itself
+        systems = list(sweep_systems())
+        fast = [closed_system_roots(L, tol, draws=draws) for L, tol, draws in systems]
+        merged = []
+
+        def general(L, W, B, lam, V):
+            F = cluster_roots_general(L, W, B, lam, V)
+            merged.append(len(F) - 1 < lam.size)
+            return F
+
+        monkeypatch.setattr(algebra, "_cluster_roots", general)
+        for (L, tol, draws), got in zip(systems, fast):
+            assert same_bits(got, closed_system_roots(L, tol, draws=draws))
+        assert any(merged) and not all(merged)
+
     def test_float_matrix_as_complex(self, corpus):
         # enumerate_multiplicative passes an integer 0/2 table
         for sg in [*corpus.values(), nilpotent_monoid(3), fl.left_zero(3)]:

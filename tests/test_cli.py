@@ -505,11 +505,19 @@ class TestHardening:
             ("chars", "SPEC", "--tol", "1e-9"),
             ("solve", "vanvleck", "SPEC", "--tol", "1e-9"),
             ("verify-theorems", "SPEC", "--tol", "1e-9"),
+            ("solve", "kannappan", "SPEC", "--ora"),
+            ("validate", "SPEC", "SPEC"),
+            ("verify-theorems", "SPEC", "--seed"),
+            ("solve", "SPEC"),
+            ("solve", "vanvleck", "SPEC", "--oracle=1"),
+            ("verify-theorems", "SPEC", "--seed="),
         ],
         ids=[
             "seed-not-int", "seed-float", "tol-two-tokens", "tol-minus-inf",
             "missing-spec-file", "unknown-command", "unknown-kind", "unknown-flag",
             "no-command", "tol-chars", "tol-solve", "tol-verify-theorems",
+            "prefix", "extra-positional", "seed-no-value", "solve-no-kind", "switch-with-value",
+            "seed-empty",
         ],
     )
     def test_refused_options_exit_2_as_json(self, tmp_path, capsys, argv):
@@ -520,12 +528,46 @@ class TestHardening:
         assert captured.err == ""
         assert json.loads(captured.out)["error"]["invariant"] == "option value"
 
-    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["validate", "inst.json", "-h"],
+                                      ["solve", "kannappan", "inst.json", "--ora", "-h"]])
     def test_help_exits_0(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: feqlab")
+
+    @pytest.mark.parametrize(
+        "argv, command, given",
+        [
+            (("validate", "SPEC"), "cmd_validate", {}),
+            (("chars", "SPEC"), "cmd_chars", {}),
+            (("solve", "--oracle", "kannappan", "SPEC"), "cmd_solve", {"kind": "kannappan", "--oracle": True}),
+            (("solve", "vanvleck", "--seed", "7", "SPEC", "--oracle"), "cmd_solve",
+             {"kind": "vanvleck", "--oracle": True, "--seed": 7}),
+            (("verify-theorems", "SPEC", "--seed=3"), "cmd_verify", {"--seed": 3}),
+            (("solve", "dalembert", "SPEC", "--seed", "-5"), "cmd_solve", {"kind": "dalembert", "--seed": -5}),
+            (("verify-theorems", "--seed", "1", "SPEC", "--seed=-2"), "cmd_verify", {"--seed": -2}),
+            (("solve", "kannappan", "SPEC", "--include-zero"), "cmd_solve",
+             {"kind": "kannappan", "--include-zero": True}),
+        ],
+        ids=["validate", "chars", "option-first", "options-between", "seed-equals", "negative-seed",
+             "repeated-seed", "include-zero"],
+    )
+    def test_accepted_option_shapes(self, argv, command, given):
+        defaults = {"cmd_validate": {}, "cmd_chars": {}, "cmd_verify": {"--seed": 0},
+                    "cmd_solve": {"--oracle": False, "--seed": 0, "--include-zero": False}}
+        func, args = cli._parse(list(argv))
+        assert func is getattr(cli, command)
+        assert args == {"spec_file": "SPEC", **defaults[command], **given}
+
+    def test_import_leaves_argparse_out(self):
+        # the call path reads its options without argparse, and importing
+        # the CLI does not load it
+        src = Path(fl.__file__).resolve().parents[1]
+        code = "import sys, feqlab.cli; print('argparse' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize(
         "raw",

@@ -3,8 +3,8 @@
 Every malformed value of a spec key, every --tol that is not a finite
 positive float and every --seed that is not an integer exits 2 with a named
 invariant in the JSON error report; nothing raises.  Options are passed as
-two tokens, so a value such as -1e-05 or -inf reaches argparse as what looks
-like a flag.  Every integer is a valid --seed, so seeds are drawn from all
+two tokens, so a value such as -1e-05 or -inf reaches the option parser as
+what looks like a flag.  Every integer is a valid --seed, so seeds are drawn from all
 integers, beyond 64 bits included, alongside the malformed specs.
 """
 from __future__ import annotations
